@@ -3,10 +3,9 @@
    Subcommands:
      search   run a keyword query against an XML file
      stats    show document/index statistics and top words
-     shred    dump the relational tables (label/element/value)
+     shred    dump the paper's three tables (label/element/value)
      gen      emit a synthetic DBLP-like or XMark-like corpus
      index    build and persist an inverted index
-     sql      keyword lookup through the relational path
      serve    overload-safe HTTP search over a Unix-domain socket
 
    Exit codes (also in the man pages): 2 = XML parse error, 3 =
@@ -370,17 +369,19 @@ let search_cmd =
       else None
     in
     Xks_trace.Trace.set_current trace;
-    (* Terms containing ':' use the labeled-search extension. *)
+    (* Terms containing ':' use the labeled-search extension: the
+       labeled query is prepared once and runs through the same executor
+       (ranking, top-k, budget ladder) as a plain one. *)
     let labeled = List.exists (fun w -> String.contains w ':') ws in
-    if labeled && (rank <> `Heuristic || top_k <> None) then
-      die Cmd.Exit.cli_error
-        "xks: --rank/--top-k are not supported with labeled (:) terms";
+    let index = Xks_core.Engine.index engine in
+    let query =
+      if labeled then Xks_core.Labeled.query index ws
+      else Xks_core.Query.make index ws
+    in
     let result =
       if labeled then
-        {
-          Xks_core.Engine.hits = Xks_core.Labeled.search ~algorithm engine ws;
-          degraded = None;
-        }
+        Xks_core.Engine.search_query ~algorithm ~rank ?k:top_k ~cid_mode
+          ?budget query
       else
         Xks_core.Engine.search_result ~algorithm ~rank ?k:top_k ~cid_mode
           ?budget engine ws
@@ -409,10 +410,6 @@ let search_cmd =
                 output_string oc
                   (Xks_trace.Json.to_string (Xks_trace.Trace.to_json t));
                 output_char oc '\n')));
-    let query =
-      if labeled then Xks_core.Labeled.query (Xks_core.Engine.index engine) ws
-      else Xks_core.Query.make (Xks_core.Engine.index engine) ws
-    in
     Printf.printf "%d result(s) for \"%s\"\n" (List.length hits)
       (String.concat " " ws);
     if hits = [] && not labeled then
@@ -421,7 +418,7 @@ let search_cmd =
           match correction with
           | Some better -> Printf.printf "no \"%s\" — did you mean \"%s\"?\n" w better
           | None -> ())
-        (Xks_index.Suggest.correct_query (Xks_core.Engine.index engine) ws);
+        (Xks_index.Suggest.correct_query index ws);
     List.iteri
       (fun i (hit : Xks_core.Engine.hit) ->
         if i < limit then begin
@@ -602,36 +599,6 @@ let gen_cmd =
     (Cmd.info "gen" ~exits ~doc:"Generate a synthetic corpus as an XML file.")
     Term.(const run $ dataset $ out $ seed $ size)
 
-(* --- sql --- *)
-
-let sql_cmd =
-  let keyword =
-    Arg.(
-      required
-      & pos 1 (some string) None
-      & info [] ~docv:"KEYWORD" ~doc:"Keyword to look up in the value table.")
-  in
-  let run file keyword =
-    let doc = Xks_xml.Parser.parse_file file in
-    let store = Xks_index.Rel_store.of_doc doc in
-    let result =
-      Xks_relational.Plan.select ~distinct:true ~order_by:[ "id" ]
-        ~columns:[ "id"; "dewey"; "label"; "attribute" ]
-        ~where:
-          (Xks_relational.Plan.Eq
-             ( "keyword",
-               Xks_relational.Value.text (Xks_xml.Tokenizer.normalize keyword) ))
-        (Xks_index.Rel_store.value_table store)
-    in
-    Format.printf "%a" Xks_relational.Plan.pp_result result
-  in
-  Cmd.v
-    (Cmd.info "sql" ~exits
-       ~doc:
-         "Answer a keyword lookup through the relational (shredded-table) \
-          path, as the paper's platform does.")
-    Term.(const run $ file_arg $ keyword)
-
 (* --- serve --- *)
 
 let serve_cmd =
@@ -800,7 +767,7 @@ let () =
   let group =
     Cmd.group info
       [
-        search_cmd; stats_cmd; shred_cmd; gen_cmd; index_cmd; sql_cmd;
+        search_cmd; stats_cmd; shred_cmd; gen_cmd; index_cmd;
         serve_cmd;
       ]
   in

@@ -1,6 +1,7 @@
-(* Extension showcase: labeled query terms, query-biased snippets,
-   ElemRank-weighted ranking and index persistence working together on a
-   small catalogue.
+(* Extension showcase: labeled, phrase and path-scoped query terms,
+   query-biased snippets and index persistence working together on a
+   small catalogue.  Every prepared query runs through the engine's one
+   executor, [Engine.search_query].
 
      dune exec examples/snippet_search.exe
 *)
@@ -8,7 +9,11 @@
 module Engine = Xks_core.Engine
 module Labeled = Xks_core.Labeled
 module Snippet = Xks_core.Snippet
-module Elemrank = Xks_core.Elemrank
+
+let print_hits engine query =
+  List.iter
+    (fun (hit : Engine.hit) -> print_string (Engine.render engine hit))
+    (Engine.search_query query).Engine.hits
 
 let catalogue =
   "<catalog>\
@@ -41,38 +46,20 @@ let () =
   print_newline ();
   let terms = [ "title:keyword"; "title:search" ] in
   Printf.printf "labeled query: %s\n" (String.concat " " terms);
-  List.iter
-    (fun (hit : Engine.hit) ->
-      print_string (Engine.render engine hit))
-    (Labeled.search engine terms);
-
-  (* Structural prior: which elements does ElemRank consider central? *)
-  print_newline ();
-  let prior = Elemrank.compute (Engine.doc engine) in
-  print_endline "most central elements (ElemRank):";
-  List.iter
-    (fun (id, score) ->
-      let node = Xks_xml.Tree.node (Engine.doc engine) id in
-      Printf.printf "  %-10s %.4f\n"
-        (Xks_xml.Tree.label_name (Engine.doc engine) node)
-        score)
-    (Elemrank.top prior 3);
+  print_hits engine (Labeled.query (Engine.index engine) terms);
 
   (* Phrase search: quoted terms must be consecutive. *)
   print_newline ();
   let pidx = Xks_index.Positional.build (Engine.doc engine) in
   let phrase = [ "\"keyword search\"" ] in
   Printf.printf "phrase query: %s\n" (String.concat " " phrase);
-  List.iter
-    (fun (hit : Engine.hit) -> print_string (Engine.render engine hit))
-    (Xks_core.Phrase.search engine pidx phrase);
+  print_hits engine (Xks_core.Phrase.query pidx phrase);
 
   (* Path-scoped search: keywords restricted to a structural scope. *)
   print_newline ();
   Printf.printf "scoped query: //book + [xml]\n";
-  List.iter
-    (fun (hit : Engine.hit) -> print_string (Engine.render engine hit))
-    (Xks_core.Scoped.search engine ~path:"//book" [ "xml" ]);
+  print_hits engine
+    (Xks_core.Scoped.query (Engine.index engine) ~path:"//book" [ "xml" ]);
 
   (* Suggestions when a keyword is misspelled. *)
   print_newline ();

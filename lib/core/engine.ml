@@ -42,15 +42,21 @@ let id e = e.id
 let doc e = e.doc
 let index e = e.index
 
-let run ?(algorithm = Validrtf) ?cid_mode ?budget e ws =
-  (* Rarest keyword first: the dedup is shared with every caller of
-     [Query.make]; the rarity sort additionally puts the shortest
-     posting list in the driver seat of the stack walks. *)
-  let q = Query.make ~order:`Rarest e.index ws in
+(* The one algorithm dispatch: every prepared query, whatever built it,
+   reaches the pipeline through here. *)
+let pipeline ?cid_mode ?budget algorithm q =
   match algorithm with
   | Validrtf -> Validrtf.run_query ?cid_mode ?budget q
   | Maxmatch -> Maxmatch.run_revised_query ?budget q
   | Maxmatch_original -> Maxmatch.run_original_query ?budget q
+
+(* Rarest keyword first: the dedup is shared with every caller of
+   [Query.make]; the rarity sort additionally puts the shortest posting
+   list in the driver seat of the stack walks. *)
+let prepare e ws = Query.make ~order:`Rarest e.index ws
+
+let run ?(algorithm = Validrtf) ?cid_mode ?budget e ws =
+  pipeline ?cid_mode ?budget algorithm (prepare e ws)
 
 (* [indexed_lookup_eager] returns ascending ids, so membership is a
    binary search instead of an O(hits × slcas) list scan. *)
@@ -87,8 +93,7 @@ let bm25_scored (result : Pipeline.result) =
       if c <> 0 then c else Int.compare a.rtf.lca b.rtf.lca)
     scored
 
-let hits_of_result ?(rank = (`Heuristic : rank_mode)) ?k (_ : t) result =
-  check_k k;
+let hits_of_result ~rank ?k result =
   let slcas = slca_table result.Pipeline.query in
   let hit (scored : Ranking.scored) =
     {
@@ -114,8 +119,7 @@ let hits_of_result ?(rank = (`Heuristic : rank_mode)) ?k (_ : t) result =
 (* The streaming top-k fast path (BM25 + k over ValidRTF): scan once
    with score-bounded early termination, then construct and prune only
    the k winning fragments instead of every RTF. *)
-let topk_hits ?cid_mode ?budget ~k e ws =
-  let q = Query.make ~order:`Rarest e.index ws in
+let topk_hits ?cid_mode ?budget ~k q =
   (* Same up-front posting charge as [Pipeline.run_query]. *)
   Budget.tick_opt budget
     (Array.fold_left (fun acc p -> acc + Array.length p) 0 q.Query.postings);
@@ -156,24 +160,20 @@ let next_cheaper = function
 
 type search_result = { hits : hit list; degraded : Budget.reason option }
 
-let search_result ?(algorithm = Validrtf) ?cid_mode
-    ?(rank = (`Heuristic : rank_mode)) ?k ?budget e ws =
+let search_query ?(algorithm = Validrtf) ?cid_mode
+    ?(rank = (`Heuristic : rank_mode)) ?k ?budget q =
   check_k k;
   Trace.with_span "search" (fun () ->
       let attempt alg budget =
-        match (rank, k) with
-        | `Bm25, Some kk -> (
-            match alg with
-            | Validrtf -> topk_hits ?cid_mode ?budget ~k:kk e ws
-            | Maxmatch | Maxmatch_original ->
-                (* Down-ladder (or explicitly cheaper) top-k: full
-                   enumeration, BM25-scored, k-prefix — still
-                   score-tagged, just without the early-exit scan. *)
-                hits_of_result ~rank ?k e
-                  (run ~algorithm:alg ?cid_mode ?budget e ws))
-        | (`Bm25 | `Heuristic | `Doc), (Some _ | None) ->
-            hits_of_result ~rank ?k e
-              (run ~algorithm:alg ?cid_mode ?budget e ws)
+        match (rank, k, alg) with
+        | `Bm25, Some kk, Validrtf -> topk_hits ?cid_mode ?budget ~k:kk q
+        | ( (`Bm25 | `Heuristic | `Doc),
+            (Some _ | None),
+            (Validrtf | Maxmatch | Maxmatch_original) ) ->
+            (* Down-ladder (or explicitly cheaper) BM25 top-k lands here
+               too: full enumeration, scored, k-prefix — still
+               score-tagged, just without the early-exit scan. *)
+            hits_of_result ~rank ?k (pipeline ?cid_mode ?budget alg q)
       in
       match budget with
       | None -> { hits = attempt algorithm None; degraded = None }
@@ -201,6 +201,9 @@ let search_result ?(algorithm = Validrtf) ?cid_mode
                     hits;
                 degraded = Some reason;
               }))
+
+let search_result ?algorithm ?cid_mode ?rank ?k ?budget e ws =
+  search_query ?algorithm ?cid_mode ?rank ?k ?budget (prepare e ws)
 
 let search ?algorithm ?cid_mode ?rank ?k ?budget e ws =
   (search_result ?algorithm ?cid_mode ?rank ?k ?budget e ws).hits

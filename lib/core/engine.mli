@@ -73,25 +73,14 @@ type search_result = {
           when [hits] is empty, which the per-hit tag cannot express *)
 }
 
-val search_result :
+val search_query :
   ?algorithm:algorithm -> ?cid_mode:Xks_index.Cid.mode -> ?rank:rank_mode ->
-  ?k:int -> ?budget:Xks_robust.Budget.t -> t -> string list -> search_result
-(** Like {!search}, returning the hits together with the degradation
-    status of the whole run.  Prefer this over {!degraded_reason} when a
-    degraded query may legitimately return zero hits: a budgeted query
-    over a keyword that does not occur degrades (the budget charges the
-    other keywords' postings) yet produces an empty hit list, and only
-    [degraded] keeps that signal.  A degraded run also records exactly
-    one {!Xks_trace.Trace.degradation} event on the current trace. *)
-
-val search :
-  ?algorithm:algorithm -> ?cid_mode:Xks_index.Cid.mode -> ?rank:rank_mode ->
-  ?k:int -> ?budget:Xks_robust.Budget.t -> t -> string list -> hit list
-(** [search e ws] runs the query.  Keywords are deduplicated and sorted
-    rarest-first (shortest posting list first) before the pipeline runs
-    — duplicates and keyword order never change the result set.  Hits
-    are ordered by [rank] (default [`Heuristic]).  The empty hit list
-    means some keyword does not occur.
+  ?k:int -> ?budget:Xks_robust.Budget.t -> Query.t -> search_result
+(** [search_query q] runs the prepared query [q] — the one executor
+    behind {!search}, and the entry for queries whose posting lists come
+    from elsewhere ({!Labeled}, {!Phrase}, {!Scoped}).  Hits are ordered
+    by [rank] (default [`Heuristic]).  The empty hit list means some
+    keyword has an empty posting list.
 
     [k] keeps only the best [k] hits.  Under [~rank:`Bm25] on ValidRTF
     this switches to the streaming top-k scan: fragments are scored
@@ -106,13 +95,32 @@ val search :
 
     With a [budget], the run is governed: when it exhausts mid-pipeline
     the engine falls down the ladder ValidRTF → revised MaxMatch →
-    SLCA-only, granting each cheaper attempt a renewed node allowance
-    under the {e same} deadline; the final SLCA-only attempt runs
-    unbudgeted, so a budgeted search always returns.  Degraded hits
-    carry [degraded = Some reason] (the first exhaustion).  Without
-    [budget] the behaviour (and cost) is exactly the unbudgeted
-    pipeline.
-    @raise Invalid_argument on an empty query. *)
+    SLCA-only on the same prepared query, granting each cheaper attempt
+    a renewed node allowance under the {e same} deadline; the final
+    SLCA-only attempt runs unbudgeted, so a budgeted search always
+    returns.  Degraded hits carry [degraded = Some reason] (the first
+    exhaustion), and so does the result — even when [hits] is empty,
+    which the per-hit tag cannot express: a budgeted query over a
+    keyword that does not occur degrades (the budget charges the other
+    keywords' postings) yet produces no hit.  A degraded run records
+    exactly one {!Xks_trace.Trace.degradation} event on the current
+    trace.  Without [budget] the behaviour (and cost) is exactly the
+    unbudgeted pipeline. *)
+
+val search_result :
+  ?algorithm:algorithm -> ?cid_mode:Xks_index.Cid.mode -> ?rank:rank_mode ->
+  ?k:int -> ?budget:Xks_robust.Budget.t -> t -> string list -> search_result
+(** [search_result e ws] is {!search_query} on
+    [Query.make ~order:`Rarest (index e) ws]: keywords are deduplicated
+    and sorted rarest-first (shortest posting list first), so duplicates
+    and keyword order never change the result set.  Prefer this over
+    {!search} when a degraded query may legitimately return zero hits.
+    @raise Invalid_argument on an empty query, or when [k < 1]. *)
+
+val search :
+  ?algorithm:algorithm -> ?cid_mode:Xks_index.Cid.mode -> ?rank:rank_mode ->
+  ?k:int -> ?budget:Xks_robust.Budget.t -> t -> string list -> hit list
+(** [search e ws] is the hit list of {!search_result}. *)
 
 val degraded_reason : hit list -> Xks_robust.Budget.reason option
 (** The degradation tag of a result set ([None] also for the empty
@@ -125,15 +133,6 @@ val run :
 (** The raw pipeline result, for callers that need stage outputs.
     Unlike {!search} this does not degrade:
     @raise Xks_robust.Budget.Exhausted when [budget] runs out. *)
-
-val hits_of_result :
-  ?rank:rank_mode -> ?k:int -> t -> Pipeline.result -> hit list
-(** Turn a pipeline result into scored hits (what {!search} does after
-    running the pipeline); exposed for callers that build queries
-    themselves, e.g. {!Labeled}.  [`Bm25] here always scores the full
-    enumeration ([k] is a plain prefix); hits come back with
-    [degraded = None].
-    @raise Invalid_argument when [k < 1]. *)
 
 val render : ?xml:bool -> t -> hit -> string
 (** Pretty tree view of a hit (or XML when [xml] is [true]). *)

@@ -48,14 +48,5 @@ let query idx terms =
   let parsed = List.map parse_term terms in
   let keywords = List.map term_to_string parsed in
   let postings = Array.of_list (List.map (posting idx) parsed) in
-  Query.of_postings (Xks_index.Inverted.doc idx) ~keywords postings
-
-let search ?algorithm engine terms =
-  let q = query (Engine.index engine) terms in
-  let result =
-    match algorithm with
-    | None | Some Engine.Validrtf -> Validrtf.run_query q
-    | Some Engine.Maxmatch -> Maxmatch.run_revised_query q
-    | Some Engine.Maxmatch_original -> Maxmatch.run_original_query q
-  in
-  Engine.hits_of_result engine result
+  Query.of_postings ~approx_cids:(Xks_index.Inverted.approx_cids idx)
+    (Xks_index.Inverted.doc idx) ~keywords postings

@@ -4,8 +4,9 @@
     A term is either a bare keyword ["xml"] or ["label:keyword"]
     (["title:xml"]), restricting matches to nodes with that element
     label; ["label:"] alone matches every node with the label.  The
-    filtered posting lists feed the ordinary pipeline, so ValidRTF /
-    MaxMatch semantics and pruning apply unchanged. *)
+    filtered posting lists feed the ordinary pipeline through
+    {!Engine.search_query}, so ValidRTF / MaxMatch semantics, pruning,
+    ranking and budgets apply unchanged. *)
 
 type term = {
   label : string option;  (** required element label, if any *)
@@ -26,9 +27,6 @@ val posting : Xks_index.Inverted.t -> term -> int array
 val query : Xks_index.Inverted.t -> string list -> Query.t
 (** Parse each string as a term and build the prepared query (keyword
     names keep the ["label:keyword"] spelling so the bitsets stay
-    distinct).
+    distinct).  The index's precomputed content features travel with
+    it, so pruning never re-tokenises keyword nodes.
     @raise Invalid_argument as {!parse_term} / {!Query.of_postings}. *)
-
-val search :
-  ?algorithm:Engine.algorithm -> Engine.t -> string list -> Engine.hit list
-(** End-to-end labeled search on an engine, ranked. *)

@@ -33,13 +33,3 @@ let query pidx terms =
   let keywords = List.map term_to_string parsed in
   let postings = Array.of_list (List.map (posting pidx) parsed) in
   Query.of_postings (Xks_index.Positional.doc pidx) ~keywords postings
-
-let search ?algorithm engine pidx terms =
-  let q = query pidx terms in
-  let result =
-    match algorithm with
-    | None | Some Engine.Validrtf -> Validrtf.run_query q
-    | Some Engine.Maxmatch -> Maxmatch.run_revised_query q
-    | Some Engine.Maxmatch_original -> Maxmatch.run_original_query q
-  in
-  Engine.hits_of_result engine result

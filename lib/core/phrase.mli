@@ -4,7 +4,7 @@
     (["\"xml keyword search\""] matches only nodes where the three words
     are consecutive); bare terms behave as usual.  Phrase posting lists
     come from {!Xks_index.Positional} and feed the unchanged ValidRTF /
-    MaxMatch pipeline. *)
+    MaxMatch pipeline through {!Engine.search_query}. *)
 
 type term =
   | Word of string
@@ -21,9 +21,3 @@ val query :
   Xks_index.Positional.t -> string list -> Query.t
 (** Parse each string as a term and build the prepared query.
     @raise Invalid_argument as {!parse_term} / {!Query.of_postings}. *)
-
-val search :
-  ?algorithm:Engine.algorithm -> Engine.t -> Xks_index.Positional.t ->
-  string list -> Engine.hit list
-(** End-to-end phrase search (the positional index must come from the
-    engine's document). *)

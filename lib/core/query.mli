@@ -47,7 +47,7 @@ val of_postings :
   Xks_xml.Tree.t -> keywords:string list -> int array array -> t
 (** [of_postings doc ~keywords postings] builds a query whose posting
     lists were computed elsewhere (e.g. filtered by {!Labeled} conditions
-    or fetched via {!Xks_index.Rel_store}).  Keywords must be distinct and
+    or restricted by a {!Scoped} path).  Keywords must be distinct and
     non-empty; each posting list must be sorted, duplicate-free and
     reference ids of [doc].  [approx_cids] (default [[||]], meaning
     unavailable) forwards a precomputed per-node feature table — pass the

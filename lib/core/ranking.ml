@@ -25,20 +25,10 @@ let sort_scored scored =
       if c <> 0 then c else Int.compare a.rtf.lca b.rtf.lca)
     scored
 
-let rank_by scorer (result : Pipeline.result) =
+let rank (result : Pipeline.result) =
   (* xkscost: unticked pre-charged: one scoring pass over the already-budgeted pipeline result, |rtfs| bounded by the ticked LCA sweep *)
   List.map2
     (fun rtf fragment ->
-      { fragment; rtf; score = scorer result.query rtf fragment })
+      { fragment; rtf; score = score result.query rtf fragment })
     result.rtfs result.fragments
   |> sort_scored
-
-let rank result = rank_by score result
-
-let score_with_prior prior (q : Query.t) (rtf : Rtf.t) frag =
-  let structural =
-    Elemrank.score prior rtf.lca *. float_of_int (Tree.size q.doc)
-  in
-  score q rtf frag *. structural
-
-let rank_with_prior prior result = rank_by (score_with_prior prior) result

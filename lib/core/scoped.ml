@@ -24,13 +24,3 @@ let query idx ~path ws =
   Query.of_postings ~approx_cids:base.Query.approx_cids doc
     ~keywords:(Array.to_list base.Query.keywords)
     postings
-
-let search ?algorithm engine ~path ws =
-  let q = query (Engine.index engine) ~path ws in
-  let result =
-    match algorithm with
-    | None | Some Engine.Validrtf -> Validrtf.run_query q
-    | Some Engine.Maxmatch -> Maxmatch.run_revised_query q
-    | Some Engine.Maxmatch_original -> Maxmatch.run_original_query q
-  in
-  Engine.hits_of_result engine result

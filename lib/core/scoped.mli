@@ -8,7 +8,9 @@
     results are meaningful RTFs that live inside the selected scopes.
 
     {[
-      Scoped.search engine ~path:"//closed_auctions" [ "egypt"; "leon" ]
+      Engine.search_query
+        (Scoped.query (Engine.index engine) ~path:"//closed_auctions"
+           [ "egypt"; "leon" ])
     ]} *)
 
 val restrict_postings :
@@ -21,8 +23,3 @@ val query :
 (** Prepared query whose posting lists are restricted to the subtrees
     selected by [path].
     @raise Invalid_argument on a malformed path or empty query. *)
-
-val search :
-  ?algorithm:Engine.algorithm -> Engine.t -> path:string -> string list ->
-  Engine.hit list
-(** End-to-end scoped search, ranked. *)

@@ -12,7 +12,6 @@ let () =
       ("index", Test_index.tests);
       ("persist", Test_persist.tests);
       ("robust", Test_robust.tests);
-      ("relational", Test_relational.tests);
       ("stream_index", Test_stream_index.tests);
       ("phrase", Test_phrase.tests);
       ("gdmct", Test_gdmct.tests);

@@ -66,12 +66,19 @@ let run_case rng max_nodes =
     doc query;
   check "tree-scan elca = indexed stack" (Xks_lca.Tree_scan.elca doc ps = elca_is)
     doc query;
-  (* SQL path agrees with the inverted index. *)
-  let store = Xks_index.Rel_store.of_doc doc in
-  check "sql postings"
-    (Xks_index.Rel_store.postings_via_sql store
-       (Array.to_list q.Xks_core.Query.keywords)
-    = ps)
+  (* The shredded value table (the paper's getKeywordNodes source)
+     agrees with the inverted index. *)
+  let tables = Xks_index.Shredder.shred doc in
+  let value_posting w =
+    Xks_index.Shredder.find_values tables w
+    |> List.filter_map (fun (r : Xks_index.Shredder.value_row) ->
+           Option.map
+             (fun (n : Tree.node) -> n.id)
+             (Tree.find_by_dewey doc r.v_dewey))
+    |> List.sort_uniq Int.compare |> Array.of_list
+  in
+  check "value table postings"
+    (Array.map value_posting q.Xks_core.Query.keywords = ps)
     doc query;
   (* Streaming index agrees with the tree index. *)
   check "stream index"

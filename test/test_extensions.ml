@@ -1,12 +1,10 @@
-(* Extensions beyond the paper: snippets, labeled terms, ElemRank
-   structural ranking. *)
+(* Extensions beyond the paper: snippets and labeled terms. *)
 
 module Engine = Xks_core.Engine
 module Query = Xks_core.Query
 module Snippet = Xks_core.Snippet
 module Labeled = Xks_core.Labeled
-module Elemrank = Xks_core.Elemrank
-module Tree = Xks_xml.Tree
+module Budget = Xks_robust.Budget
 
 let engine_of = Engine.of_string
 
@@ -92,14 +90,19 @@ let test_labeled_posting () =
   Alcotest.(check (list string)) "label only" [ "0.0.0"; "0.1.0" ] (ids "title:");
   Alcotest.(check (list string)) "unknown label" [] (ids "nope:xml")
 
+(* Labeled terms run through the engine's one executor. *)
+let labeled_search ?cid_mode ?rank ?k ?budget engine terms =
+  Engine.search_query ?cid_mode ?rank ?k ?budget
+    (Labeled.query (Engine.index engine) terms)
+
 let test_labeled_search_narrows () =
   let engine = engine_of library in
   let broad = Engine.search engine [ "xml"; "cooking" ] in
-  let narrow = Labeled.search engine [ "note:xml"; "cooking" ] in
+  let narrow = (labeled_search engine [ "note:xml"; "cooking" ]).Engine.hits in
   (* Bare: the cooking book's own note mentions xml -> its book is an
      SLCA.  Restricting xml to notes keeps the same shape here; but
      restricting to titles must push the result up. *)
-  let titled = Labeled.search engine [ "title:xml"; "cooking" ] in
+  let titled = (labeled_search engine [ "title:xml"; "cooking" ]).Engine.hits in
   let root_of hits =
     List.map
       (fun (h : Engine.hit) -> Helpers.dewey_str (Engine.doc engine) h.Engine.fragment.Xks_core.Fragment.root)
@@ -113,90 +116,53 @@ let test_labeled_search_narrows () =
 let test_labeled_no_results () =
   let engine = engine_of library in
   Alcotest.(check int) "no hit" 0
-    (List.length (Labeled.search engine [ "title:recipes" ]))
+    (List.length (labeled_search engine [ "title:recipes" ]).Engine.hits)
 
-(* --- ElemRank --- *)
+let test_labeled_query_carries_features () =
+  (* A labeled query reuses the index's precomputed content features
+     instead of re-tokenising keyword nodes during pruning. *)
+  let engine = engine_of library in
+  let idx = Engine.index engine in
+  let q = Labeled.query idx [ "title:xml"; "cooking" ] in
+  Alcotest.(check bool) "index features forwarded" true
+    (q.Query.approx_cids == Xks_index.Inverted.approx_cids idx)
 
-let test_elemrank_sums_to_one () =
-  let doc = Xks_datagen.Paper_fixtures.publications () in
-  let pr = Elemrank.compute doc in
-  let total =
-    Tree.fold (fun acc n -> acc +. Elemrank.score pr n.Tree.id) 0.0 doc
+let test_labeled_budget_degrades () =
+  (* A two-node allowance cannot even pay for the postings: the labeled
+     query falls down the ladder and says why, like a plain one. *)
+  let engine = engine_of library in
+  let terms = [ "title:xml"; "cooking" ] in
+  let result =
+    labeled_search ~budget:(Budget.create ~max_nodes:2 ()) engine terms
   in
-  Alcotest.(check (float 1e-6)) "normalised" 1.0 total
-
-let test_elemrank_hub_beats_leaf () =
-  let doc =
-    Xks_xml.Parser.parse_string
-      "<r><hub><a/><b/><c/><d/><e/></hub><leaf/></r>"
+  Alcotest.(check bool) "degraded with the node-limit reason" true
+    (result.Engine.degraded = Some Budget.Node_budget);
+  Alcotest.(check bool) "every hit carries the reason" true
+    (List.for_all
+       (fun (h : Engine.hit) -> h.Engine.degraded = Some Budget.Node_budget)
+       result.Engine.hits);
+  let ample =
+    labeled_search ~budget:(Budget.create ~max_nodes:1_000_000 ()) engine terms
   in
-  let pr = Elemrank.compute doc in
-  let hub = Elemrank.score pr (Helpers.id_at doc "0.0") in
-  let leaf = Elemrank.score pr (Helpers.id_at doc "0.1") in
-  Alcotest.(check bool) "hub scores higher" true (hub > leaf)
+  Alcotest.(check bool) "an ample budget stays full-fidelity" true
+    (ample.Engine.degraded = None
+    && ample.Engine.hits = (labeled_search engine terms).Engine.hits)
 
-let test_elemrank_top () =
-  let doc = Xks_xml.Parser.parse_string "<r><hub><a/><b/><c/></hub></r>" in
-  let pr = Elemrank.compute doc in
-  match Elemrank.top pr 1 with
-  | [ (id, _) ] -> Alcotest.(check int) "hub on top" (Helpers.id_at doc "0.0") id
-  | _ -> Alcotest.fail "expected one row"
-
-let test_rank_with_prior () =
-  let engine =
-    engine_of
-      "<db><item><name>w1 w2</name></item><other>w1</other><misc>w2</misc></db>"
+let test_labeled_exact_cid () =
+  (* The (min, max) feature conflates the two p siblings; exact content
+     sets keep both.  The labeled term must reach the same switch. *)
+  let engine = engine_of "<r><p>w1 aa zz mm</p><p>w1 aa zz qq</p>w2</r>" in
+  let members cid_mode =
+    match (labeled_search ~cid_mode engine [ "p:w1"; "w2" ]).Engine.hits with
+    | [ h ] ->
+        Helpers.deweys_of (Engine.doc engine)
+          (Xks_core.Fragment.members_list h.Engine.fragment)
+    | hits -> Alcotest.failf "expected one hit, got %d" (List.length hits)
   in
-  let result = Engine.run engine [ "w1"; "w2" ] in
-  let prior = Elemrank.compute (Engine.doc engine) in
-  let ranked = Xks_core.Ranking.rank_with_prior prior result in
-  Alcotest.(check int) "same cardinality"
-    (List.length result.Xks_core.Pipeline.fragments)
-    (List.length ranked);
-  List.iter
-    (fun (s : Xks_core.Ranking.scored) ->
-      Alcotest.(check bool) "positive scores" true (s.Xks_core.Ranking.score > 0.0))
-    ranked
-
-(* --- TF-IDF --- *)
-
-let test_idf_monotone () =
-  let engine =
-    engine_of "<r><a>rare common</a><b>common</b><c>common</c></r>"
-  in
-  let t = Xks_core.Tfidf.build (Engine.index engine) in
-  Alcotest.(check bool) "rarer word has higher idf" true
-    (Xks_core.Tfidf.idf t "rare" > Xks_core.Tfidf.idf t "common");
-  Alcotest.(check bool) "idf positive" true (Xks_core.Tfidf.idf t "common" > 0.0);
-  Alcotest.(check bool) "case-insensitive" true
-    (Xks_core.Tfidf.idf t "RARE" = Xks_core.Tfidf.idf t "rare")
-
-let test_tfidf_rank_prefers_rare () =
-  (* Two results for a single-keyword query: the compact fragment with
-     the occurrence outranks the larger one. *)
-  let engine =
-    engine_of
-      "<db><x>rare</x><big><p1>rare</p1><p2>pad</p2><p3>pad</p3><p4>pad</p4></big></db>"
-  in
-  let result = Engine.run engine [ "rare" ] in
-  let t = Xks_core.Tfidf.build (Engine.index engine) in
-  let ranked = Xks_core.Tfidf.rank t result in
-  (match ranked with
-  | first :: _ ->
-      Alcotest.(check string) "compact fragment first" "0.0"
-        (Helpers.dewey_str (Engine.doc engine)
-           first.Xks_core.Ranking.fragment.Xks_core.Fragment.root)
-  | [] -> Alcotest.fail "expected results");
-  List.iter
-    (fun (s : Xks_core.Ranking.scored) ->
-      Alcotest.(check bool) "positive" true (s.Xks_core.Ranking.score > 0.0))
-    ranked
-
-let test_singleton_document () =
-  let doc = Xks_xml.Parser.parse_string "<only/>" in
-  let pr = Elemrank.compute doc in
-  Alcotest.(check (float 1e-9)) "lone node keeps all mass" 1.0
-    (Elemrank.score pr 0)
+  Alcotest.(check (list string)) "approx conflates" [ "0"; "0.0" ]
+    (members Xks_index.Cid.Approx);
+  Alcotest.(check (list string)) "exact keeps both" [ "0"; "0.0"; "0.1" ]
+    (members Xks_index.Cid.Exact)
 
 let tests =
   [
@@ -209,11 +175,9 @@ let tests =
     Alcotest.test_case "labeled: postings" `Quick test_labeled_posting;
     Alcotest.test_case "labeled: search narrows" `Quick test_labeled_search_narrows;
     Alcotest.test_case "labeled: no results" `Quick test_labeled_no_results;
-    Alcotest.test_case "elemrank: normalisation" `Quick test_elemrank_sums_to_one;
-    Alcotest.test_case "elemrank: hubs beat leaves" `Quick test_elemrank_hub_beats_leaf;
-    Alcotest.test_case "elemrank: top" `Quick test_elemrank_top;
-    Alcotest.test_case "elemrank: singleton document" `Quick test_singleton_document;
-    Alcotest.test_case "tfidf: idf monotonicity" `Quick test_idf_monotone;
-    Alcotest.test_case "tfidf: ranking prefers compact" `Quick test_tfidf_rank_prefers_rare;
-    Alcotest.test_case "ranking with structural prior" `Quick test_rank_with_prior;
+    Alcotest.test_case "labeled: content features forwarded" `Quick
+      test_labeled_query_carries_features;
+    Alcotest.test_case "labeled: budget degrades" `Quick
+      test_labeled_budget_degrades;
+    Alcotest.test_case "labeled: exact cid" `Quick test_labeled_exact_cid;
   ]

@@ -273,6 +273,45 @@ let test_shredder_label_paths () =
   Alcotest.(check (list int)) "label path root..self" [ 0; 1 ]
     row.Shredder.e_label_path
 
+(* getKeywordNodes answered from the paper's value table: the rows of a
+   keyword mapped to node ids, sorted and deduplicated. *)
+let value_table_posting doc tables w =
+  Shredder.find_values tables w
+  |> List.filter_map (fun (r : Shredder.value_row) ->
+         Option.map (fun (n : Tree.node) -> n.id) (Tree.find_by_dewey doc r.v_dewey))
+  |> List.sort_uniq Int.compare |> Array.of_list
+
+let test_value_table_postings () =
+  let doc = Xks_datagen.Paper_fixtures.publications () in
+  let tables = Shredder.shred doc and idx = Inverted.build doc in
+  List.iter
+    (fun w ->
+      Alcotest.(check (list int))
+        ("postings of " ^ w)
+        (Array.to_list (Inverted.posting idx w))
+        (Array.to_list (value_table_posting doc tables w)))
+    [ "liu"; "keyword"; "xml"; "title"; "vldb"; "skyline"; "nosuchword" ]
+
+let test_pipeline_via_value_table () =
+  (* Algorithm 1 with getKeywordNodes served by the shredded tables. *)
+  let doc = Xks_datagen.Paper_fixtures.publications () in
+  let tables = Shredder.shred doc in
+  let postings =
+    Array.of_list
+      (List.map (value_table_posting doc tables) Xks_datagen.Paper_fixtures.q2)
+  in
+  Helpers.check_ids doc "same LCAs as the inverted-index path"
+    [ "0.2.0"; "0.2.0.3.0" ]
+    (Xks_lca.Indexed_stack.elca doc postings)
+
+let prop_value_table_postings_agree =
+  QCheck2.Test.make ~name:"random docs: value table = inverted index"
+    ~count:100 ~print:Helpers.print_doc Helpers.gen_doc (fun doc ->
+      let tables = Shredder.shred doc and idx = Inverted.build doc in
+      Array.for_all
+        (fun w -> value_table_posting doc tables w = Inverted.posting idx w)
+        Helpers.words)
+
 let tests =
   [
     Alcotest.test_case "klist key numbers (fig 4)" `Quick test_klist_key_numbers;
@@ -296,4 +335,9 @@ let tests =
     Alcotest.test_case "query correction" `Quick test_correct_query;
     Alcotest.test_case "shredder tables" `Quick test_shredder_tables;
     Alcotest.test_case "shredder label paths" `Quick test_shredder_label_paths;
+    Alcotest.test_case "value table answers getKeywordNodes" `Quick
+      test_value_table_postings;
+    Alcotest.test_case "pipeline via the value table" `Quick
+      test_pipeline_via_value_table;
+    Helpers.qtest prop_value_table_postings_agree;
   ]

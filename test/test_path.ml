@@ -84,7 +84,12 @@ let test_scoped_search () =
   let all = Engine.search engine [ "clock" ] in
   Alcotest.(check int) "two clocks" 2 (List.length all);
   (* Scoped to asia: only the asian item remains. *)
-  let scoped = Scoped.search engine ~path:"/site/regions/asia" [ "clock" ] in
+  let scoped =
+    (Engine.search_query
+       (Scoped.query (Engine.index engine) ~path:"/site/regions/asia"
+          [ "clock" ]))
+      .Engine.hits
+  in
   let d = Engine.doc engine in
   Alcotest.(check (list string)) "asia only" [ "0.0.1.0.0" ]
     (List.map
@@ -103,7 +108,10 @@ let test_scoped_pipeline_semantics () =
 let test_scope_without_matches () =
   let engine = Engine.of_doc (doc ()) in
   Alcotest.(check int) "no people clocks" 0
-    (List.length (Scoped.search engine ~path:"//people" [ "clock" ]))
+    (List.length
+       (Engine.search_query
+          (Scoped.query (Engine.index engine) ~path:"//people" [ "clock" ]))
+         .Engine.hits)
 
 let prop_scoped_subset =
   QCheck2.Test.make ~name:"scoped results are a subset of unscoped results"

@@ -68,7 +68,10 @@ let test_phrase_search_end_to_end () =
   let d = doc () in
   let engine = Engine.of_doc d in
   let p = Positional.build d in
-  let hits = Phrase.search engine p [ "\"xml keyword\""; "search" ] in
+  let hits =
+    (Engine.search_query (Phrase.query p [ "\"xml keyword\""; "search" ]))
+      .Engine.hits
+  in
   Alcotest.(check (list string)) "only the consecutive occurrence"
     [ "0.0.0" ]
     (List.map

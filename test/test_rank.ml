@@ -169,22 +169,34 @@ let test_bound_exhaustion () =
    the same order, as ranking the full ELCA enumeration and keeping the
    first k.  Exact equality is intentional — both paths compute scores
    with the same Rank.score_tf over the same `Rarest keyword order, so
-   even the floats must agree bit-for-bit. *)
+   even the floats must agree bit-for-bit.  The same contract holds for
+   a labeled query (its first term restricted to one element label):
+   it runs through the same executor on one prepared Query.t. *)
 let prop_topk_equals_prefix =
   let gen =
-    QCheck2.Gen.(triple Helpers.gen_doc Helpers.gen_query (int_range 1 5))
+    QCheck2.Gen.(
+      quad Helpers.gen_doc Helpers.gen_query (int_range 1 5)
+        (oneofa Helpers.labels))
   in
   QCheck2.Test.make ~name:"top-k = k-prefix of full BM25 ranking"
     ~count:300
-    ~print:(fun (doc, q, k) ->
-      Printf.sprintf "k=%d query=%s doc=%s" k (String.concat "," q)
-        (Helpers.print_doc doc))
+    ~print:(fun (doc, q, k, label) ->
+      Printf.sprintf "k=%d query=%s label=%s doc=%s" k (String.concat "," q)
+        label (Helpers.print_doc doc))
     gen
-    (fun (doc, q, k) ->
+    (fun (doc, q, k, label) ->
       let engine = Engine.of_doc doc in
-      let full = Engine.search ~rank:`Bm25 engine q in
-      let prefix = List.filteri (fun i _ -> i < k) full in
-      Engine.search ~rank:`Bm25 ~k engine q = prefix)
+      let prefix l = List.filteri (fun i _ -> i < k) l in
+      let labeled =
+        Xks_core.Labeled.query (Engine.index engine)
+          (List.mapi (fun i w -> if i = 0 then label ^ ":" ^ w else w) q)
+      in
+      let labeled_search ?k () =
+        (Engine.search_query ~rank:`Bm25 ?k labeled).Engine.hits
+      in
+      Engine.search ~rank:`Bm25 ~k engine q
+      = prefix (Engine.search ~rank:`Bm25 engine q)
+      && labeled_search ~k () = prefix (labeled_search ()))
 
 let tests =
   [
