@@ -34,4 +34,5 @@ let () =
       ("exec", Test_exec.tests);
       ("serve", Test_serve.tests);
       ("paper_figures", Test_paper_figures.tests);
+      ("golden", Test_golden.tests);
     ]
