@@ -3,6 +3,7 @@ module Dewey = Xks_xml.Dewey
 module Bsearch = Xks_util.Bsearch
 module Inverted = Xks_index.Inverted
 module Klist = Xks_index.Klist
+module Cid = Xks_index.Cid
 module Query = Xks_core.Query
 module Rtf = Xks_core.Rtf
 module Fragment = Xks_core.Fragment
@@ -116,6 +117,106 @@ let rtf ?(require_coverage = true) (q : Query.t) (r : Rtf.t) =
              r.lca (Klist.cardinal mask) k)
     end
   end;
+  List.rev !out
+
+(* ------------------------------------------------------------------ *)
+(* Node-info construction (paper section 4.1)                         *)
+
+(* The constructing step against its definition, member by member: the
+   keyword nodes below a member are the run of the sorted [r.knodes]
+   inside its id range, its self info folds theirs, and its RTF
+   children are the members whose parent it is. *)
+let node_info ?(cid_mode = Cid.Approx) (q : Query.t) (r : Rtf.t) =
+  let doc = q.doc in
+  let out = ref [] in
+  let push x = out := x :: !out in
+  let t = Node_info.construct ~cid_mode q r in
+  let raw = Rtf.raw_fragment q r in
+  let feature kn =
+    Cid.of_words cid_mode (Tree.content_words doc (Tree.node doc kn))
+  in
+  let children = Hashtbl.create (Array.length raw.members) in
+  Array.iter
+    (fun id ->
+      if id <> r.lca then begin
+        let parent = (Tree.node doc id).parent in
+        let prev = Option.value ~default:[] (Hashtbl.find_opt children parent) in
+        Hashtbl.replace children parent (id :: prev)
+      end)
+    raw.members;
+  if (Node_info.root t).id <> r.lca then
+    push
+      (v "construct-root" "RTF at %d: info tree rooted at %d" r.lca
+         (Node_info.root t).id);
+  Array.iter
+    (fun m ->
+      let node = Tree.node doc m in
+      let lo = Bsearch.lower_bound r.knodes m in
+      let hi = Bsearch.upper_bound r.knodes node.subtree_end in
+      let klist = ref Klist.empty and cid = ref Cid.empty in
+      for i = lo to hi - 1 do
+        klist := Klist.union !klist (Query.node_klist q r.knodes.(i));
+        cid := Cid.merge !cid (feature r.knodes.(i))
+      done;
+      let expected_children =
+        List.rev (Option.value ~default:[] (Hashtbl.find_opt children m))
+      in
+      match Node_info.info_of t m with
+      | None ->
+          push (v "construct-info-of" "RTF at %d: info_of misses member %d" r.lca m)
+      | Some info ->
+          if info.id <> m then
+            push
+              (v "construct-info-of" "RTF at %d: info_of %d returned node %d"
+                 r.lca m info.id);
+          if info.klist <> !klist then
+            push
+              (v "construct-klist"
+                 "RTF at %d: member %d has key number %d, its keyword nodes \
+                  give %d"
+                 r.lca m info.klist !klist);
+          if not (Cid.equal info.cid !cid) then
+            push
+              (v "construct-cid"
+                 "RTF at %d: member %d has cID %s, its keyword nodes give %s"
+                 r.lca m
+                 (Format.asprintf "%a" Cid.pp info.cid)
+                 (Format.asprintf "%a" Cid.pp !cid));
+          let got = List.map (fun (c : Node_info.info) -> c.id) info.rtf_children in
+          if got <> expected_children then
+            push
+              (v "construct-children"
+                 "RTF at %d: member %d lists RTF children [%s], expected [%s]"
+                 r.lca m
+                 (String.concat "; " (List.map string_of_int got))
+                 (String.concat "; " (List.map string_of_int expected_children))))
+    raw.members;
+  (* Non-members next to the RTF: the document children of members left
+     out of it, and the nodes just outside the root's id range. *)
+  let root_end = (Tree.node doc r.lca).subtree_end in
+  let outside =
+    List.filter
+      (fun id -> id >= 0 && id < Tree.size doc)
+      [ r.lca - 1; root_end + 1 ]
+  in
+  let frontier =
+    Array.fold_left
+      (fun acc m ->
+        Array.fold_left
+          (fun acc (c : Tree.node) ->
+            if Fragment.mem raw c.id then acc else c.id :: acc)
+          acc (Tree.node doc m).children)
+      outside raw.members
+  in
+  List.iter
+    (fun id ->
+      match Node_info.info_of t id with
+      | None -> ()
+      | Some _ ->
+          push
+            (v "construct-info-of" "RTF at %d: info_of finds non-member %d"
+               r.lca id))
+    frontier;
   List.rev !out
 
 (* ------------------------------------------------------------------ *)

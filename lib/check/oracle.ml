@@ -87,6 +87,12 @@ let check_query ?(tag = "") idx keywords =
       List.iter
         (fun (r : Rtf.t) -> push (Invariant.doc_order doc r.Rtf.knodes))
         rtfs;
+      (* The constructing step, in both content-feature modes. *)
+      List.iter
+        (fun r ->
+          push (Invariant.node_info ~cid_mode:Xks_index.Cid.Approx q r);
+          push (Invariant.node_info ~cid_mode:Xks_index.Cid.Exact q r))
+        rtfs;
       (* Valid-contributor pruning post-conditions on the real pipeline
          output. *)
       let result =

@@ -58,15 +58,6 @@ let prepare e ws = Query.make ~order:`Rarest e.index ws
 let run ?(algorithm = Validrtf) ?cid_mode ?budget e ws =
   pipeline ?cid_mode ?budget algorithm (prepare e ws)
 
-(* [indexed_lookup_eager] returns ascending ids, so membership is a
-   binary search instead of an O(hits × slcas) list scan. *)
-let slca_table (q : Query.t) =
-  lazy
-    (Trace.with_span "slca_tag" (fun () ->
-         if Query.has_results q then
-           Array.of_list (Xks_lca.Slca.indexed_lookup_eager q.doc q.postings)
-         else [||]))
-
 let check_k = function
   | Some k when k < 1 -> invalid_arg "Engine.search: k must be >= 1"
   | Some _ | None -> ()
@@ -93,14 +84,20 @@ let bm25_scored (result : Pipeline.result) =
       if c <> 0 then c else Int.compare a.rtf.lca b.rtf.lca)
     scored
 
-let hits_of_result ~rank ?k result =
-  let slcas = slca_table result.Pipeline.query in
+(* Full enumeration already holds the LCA list: its minimal elements are
+   the SLCAs, whether it is the ELCA set (every SLCA is an ELCA, and an
+   ELCA with no other ELCA below it is an SLCA) or already the SLCA set
+   (original MaxMatch), so no second SLCA run is needed. *)
+let hits_of_result ~rank ?k (result : Pipeline.result) =
+  let slcas =
+    Array.of_list (Xks_lca.Slca.filter_minimal result.query.doc result.lcas)
+  in
   let hit (scored : Ranking.scored) =
     {
       fragment = scored.fragment;
       rtf = scored.rtf;
       score = scored.score;
-      is_slca = Xks_util.Bsearch.mem (Lazy.force slcas) scored.rtf.lca;
+      is_slca = Xks_util.Bsearch.mem slcas scored.rtf.lca;
       degraded = None;
     }
   in
@@ -114,6 +111,7 @@ let hits_of_result ~rank ?k result =
               (fun (a : Ranking.scored) b -> Int.compare a.rtf.lca b.rtf.lca)
               (Ranking.rank result))
   in
+  (* xkscost: unticked pre-charged: tags hits of the already-budgeted pipeline result, one binary search each *)
   List.map hit (truncate k scored)
 
 (* The streaming top-k fast path (BM25 + k over ValidRTF): scan once
@@ -131,7 +129,6 @@ let topk_hits ?cid_mode ?budget ~k q =
           ~bound:(fun ~avail -> Rank.bound w ~avail)
           q.Query.doc q.Query.postings)
   in
-  let slcas = slca_table q in
   Trace.with_span "prune" (fun () ->
       List.map
         (fun (c : Xks_lca.Topk.candidate) ->
@@ -144,7 +141,7 @@ let topk_hits ?cid_mode ?budget ~k q =
             fragment;
             rtf;
             score = c.score;
-            is_slca = Xks_util.Bsearch.mem (Lazy.force slcas) c.lca;
+            is_slca = c.is_slca;
             degraded = None;
           })
         outcome.Xks_lca.Topk.top)

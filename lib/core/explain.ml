@@ -1,5 +1,4 @@
 module Klist = Xks_index.Klist
-module Cid = Xks_index.Cid
 module Dewey = Xks_xml.Dewey
 module Tree = Xks_xml.Tree
 
@@ -21,6 +20,36 @@ let kept d =
   | Discarded_covered _ | Discarded_duplicate _ | Discarded_with_ancestor _ ->
       false
 
+(* [covering_sibling chklist children] maps a keyword set of the sorted,
+   deduplicated [chklist] of [children] to the first child, in document
+   order, whose keyword set strictly covers it.  Each distinct set is
+   resolved once, from the first child carrying each larger set, so a
+   wide group costs one pass plus |chklist|^2 rather than a sibling scan
+   per child. *)
+let covering_sibling chklist children =
+  let n = Array.length chklist in
+  let first = Array.make n (-1) in
+  List.iter
+    (fun (ch : Node_info.info) ->
+      let j = Xks_util.Bsearch.lower_bound chklist ch.klist in
+      if first.(j) < 0 then first.(j) <- ch.id)
+    children;
+  let resolved = Array.make n None in
+  fun klist ->
+    let j = Xks_util.Bsearch.lower_bound chklist klist in
+    match resolved.(j) with
+    | Some cover -> cover
+    | None ->
+        (* A strict superset has a strictly larger key number; children
+           come in document order, so the smallest id is the first. *)
+        let best = ref max_int in
+        for i = j + 1 to n - 1 do
+          if Klist.subset klist chklist.(i) then best := Int.min !best first.(i)
+        done;
+        let cover = if !best = max_int then None else Some !best in
+        resolved.(j) <- Some cover;
+        cover
+
 (* Decisions within one label group under Definition 4, mirroring
    Prune.valid_children exactly (content features tracked per keyword
    set). *)
@@ -30,49 +59,40 @@ let group_decisions (g : Node_info.label_group) =
       (fun (ch : Node_info.info) -> (ch, Kept_unique_label))
       g.group_children
   else begin
-    (* knum -> (cid, owner id) list for the kept children so far *)
-    let used = Hashtbl.create 4 in
-    let covering_sibling (ch : Node_info.info) =
-      List.find_opt
-        (fun (sib : Node_info.info) ->
-          Klist.strict_subset ch.klist sib.klist)
-        g.group_children
-    in
+    let covering = covering_sibling g.chklist g.group_children in
+    (* (klist, cid) of each kept child -> its id *)
+    let owners = Node_info.Content_table.create 8 in
+    let klist_kept = Array.make (Array.length g.chklist) false in
     List.map
       (fun (ch : Node_info.info) ->
-        match Hashtbl.find_opt used ch.klist with
-        | Some owners -> (
-            match
-              List.find_opt (fun (cid, _) -> Cid.equal cid ch.cid) !owners
-            with
-            | Some (_, owner) -> (ch, Discarded_duplicate owner)
+        match covering ch.klist with
+        | Some sib -> (ch, Discarded_covered sib)
+        | None -> (
+            match Node_info.Content_table.find_opt owners ch with
+            | Some owner -> (ch, Discarded_duplicate owner)
             | None ->
-                owners := (ch.cid, ch.id) :: !owners;
-                (ch, Kept_distinct_content))
-        | None ->
-            if Klist.covered_by_any ch.klist g.chklist then
-              match covering_sibling ch with
-              | Some sib -> (ch, Discarded_covered sib.id)
-              | None -> assert false (* chklist is built from the group *)
-            else begin
-              Hashtbl.add used ch.klist (ref [ (ch.cid, ch.id) ]);
-              (ch, Kept_maximal)
-            end)
+                Node_info.Content_table.add owners ch ch.id;
+                let j = Xks_util.Bsearch.lower_bound g.chklist ch.klist in
+                if klist_kept.(j) then (ch, Kept_distinct_content)
+                else begin
+                  klist_kept.(j) <- true;
+                  (ch, Kept_maximal)
+                end))
       g.group_children
   end
 
 (* Contributor (MaxMatch): label-blind coverage only. *)
 let contributor_decisions (info : Node_info.info) =
   let siblings = info.rtf_children in
+  let klists =
+    List.map (fun (c : Node_info.info) -> c.klist) siblings
+    |> List.sort_uniq Int.compare |> Array.of_list
+  in
+  let covering = covering_sibling klists siblings in
   List.map
     (fun (ch : Node_info.info) ->
-      match
-        List.find_opt
-          (fun (sib : Node_info.info) ->
-            Klist.strict_subset ch.klist sib.klist)
-          siblings
-      with
-      | Some sib -> (ch, Discarded_covered sib.id)
+      match covering ch.klist with
+      | Some sib -> (ch, Discarded_covered sib)
       | None -> (ch, Kept_maximal))
     siblings
 

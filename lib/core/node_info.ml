@@ -10,11 +10,20 @@ type info = {
   mutable rtf_children : info list;
 }
 
-type t = { root_info : info; by_id : (int, info) Hashtbl.t }
+type t = { doc : Tree.t; root_info : info }
 
+(* One sweep over the keyword nodes in reverse document order.  [stack]
+   holds the open path from the RTF root down to the member created
+   last.  The keyword nodes below any member form a contiguous run of
+   the sorted [rtf.knodes], so a member leaves the path exactly once,
+   when the sweep passes its first keyword node; it then folds its
+   [klist]/[cid] into its parent.  Pushing every keyword node's
+   information to each ancestor (lines 5-12 of Algorithm 1) gives the
+   same values because [Klist.union] and [Cid.merge] are associative,
+   commutative and idempotent.  Sweeping backwards creates siblings last
+   to first, so prepending leaves [rtf_children] in document order. *)
 let construct ?(cid_mode = Cid.Approx) (q : Query.t) (rtf : Rtf.t) =
   let doc = q.doc in
-  let by_id = Hashtbl.create (4 * Array.length rtf.knodes) in
   let fresh id =
     {
       id;
@@ -24,60 +33,80 @@ let construct ?(cid_mode = Cid.Approx) (q : Query.t) (rtf : Rtf.t) =
       rtf_children = [];
     }
   in
-  (* Get-or-create the info of an RTF member, linking it under its parent
-     (which is created on the way to the root). *)
-  (* xkscost: unticked pre-charged: prune_all ticks 1+|knodes| per RTF before construct; each path node is created once *)
-  let rec obtain id =
-    match Hashtbl.find_opt by_id id with
-    | Some info -> info
-    | None ->
-        let info = fresh id in
-        Hashtbl.add by_id id info;
-        if id <> rtf.lca then begin
-          let parent = obtain (Tree.node doc id).parent in
-          parent.rtf_children <- info :: parent.rtf_children
-        end;
-        info
-  in
-  let transfer id klist cid =
-    (* Push a keyword node's information to itself and every ancestor up
-       to the RTF root (constructing step, lines 5-12). *)
-    (* xkscost: unticked pre-charged: one klist/cid push per path node, under prune_all's per-RTF charge *)
-    let rec up id =
-      let info = obtain id in
-      info.klist <- Klist.union info.klist klist;
-      info.cid <- Cid.merge info.cid cid;
-      if id <> rtf.lca then up (Tree.node doc id).parent
-    in
-    up id
-  in
   (* Keyword-node features come from the index's precomputed table when
      it is available (Approx mode only — the table stores (min, max)
-     pairs).  The fallback re-tokenises the node as before; it covers
-     Exact mode and queries built by [of_postings] without a table. *)
+     pairs).  The fallback re-tokenises the node; it covers Exact mode
+     and queries built by [of_postings] without a table. *)
   let feature kn =
     match cid_mode with
     | Cid.Approx when Array.length q.approx_cids > 0 -> q.approx_cids.(kn)
     | Cid.Approx | Cid.Exact ->
         Cid.of_words cid_mode (Tree.content_words doc (Tree.node doc kn))
   in
-  (* xkscost: unticked pre-charged: prune_all ticked one per knode transferred here *)
-  Array.iter
-    (fun kn ->
-      let klist = Query.node_klist q kn in
-      transfer kn klist (feature kn))
-    rtf.knodes;
-  let root_info = obtain rtf.lca in
-  (* Children were prepended as discovered; keyword nodes arrive in
-     document order but path sharing can disorder siblings, so sort. *)
-  (* xkscost: unticked pre-charged: one sibling sort per RTF member, under prune_all's per-RTF charge *)
-  Hashtbl.iter
-    (fun _ info ->
-      info.rtf_children <-
-        (* xkscost: unticked pre-charged: sorts each member's sibling list once; total work is |members| log *)
-        List.sort (fun a b -> Int.compare a.id b.id) info.rtf_children)
-    by_id;
-  { root_info; by_id }
+  (* A keyword node's own key number, read through one backward cursor
+     per posting list instead of a binary search per list and node:
+     [cursors.(i)] is the number of entries of list [i] not yet passed,
+     and the sweep only moves it down. *)
+  let k = Query.k q in
+  let n = Array.length rtf.knodes in
+  let last = if n = 0 then rtf.lca else rtf.knodes.(n - 1) in
+  (* xkscost: unticked k-bounded: one cursor per keyword list *)
+  let cursors = Array.map (fun p -> Xks_util.Bsearch.upper_bound p last) q.postings in
+  let own_klist kn =
+    let mask = ref Klist.empty in
+    (* xkscost: unticked k-bounded: one cursor step-check per keyword list *)
+    for i = 0 to k - 1 do
+      let p = q.postings.(i) in
+      let c = ref cursors.(i) in
+      (* xkscost: unticked pre-charged: each cursor passes each posting entry of the RTF's range once; prune_all charged the RTF *)
+      while !c > 0 && p.(!c - 1) > kn do
+        decr c
+      done;
+      cursors.(i) <- !c;
+      if !c > 0 && p.(!c - 1) = kn then
+        mask := Klist.union !mask (Klist.singleton ~k i)
+    done;
+    !mask
+  in
+  let root_info = fresh rtf.lca in
+  let stack = ref [ root_info ] in
+  (* Close the members whose subtree does not reach back to [kn]. *)
+  (* xkscost: unticked amortised: each member is closed exactly once across the sweep; prune_all charged the RTF *)
+  let rec close kn =
+    match !stack with
+    | top :: (parent :: _ as rest) when top.id > kn ->
+        parent.klist <- Klist.union parent.klist top.klist;
+        parent.cid <- Cid.merge parent.cid top.cid;
+        stack := rest;
+        close kn
+    | _ :: _ | [] -> ()
+  in
+  (* Create the members from below the open member [top] down to [id],
+     top-down, appending each to its parent and pushing it. *)
+  (* xkscost: unticked pre-charged: creates each path node once; prune_all charged the RTF *)
+  let rec open_path (top : info) id =
+    let parent_id = (Tree.node doc id).parent in
+    let parent = if parent_id = top.id then top else open_path top parent_id in
+    let info = fresh id in
+    parent.rtf_children <- info :: parent.rtf_children;
+    stack := info :: !stack;
+    info
+  in
+  (* xkscost: unticked pre-charged: prune_all ticked one per knode swept here *)
+  for j = n - 1 downto 0 do
+    let kn = rtf.knodes.(j) in
+    close kn;
+    let info =
+      match !stack with
+      | top :: _ when top.id = kn -> top
+      | top :: _ -> open_path top kn
+      | [] -> assert false (* the root never closes *)
+    in
+    info.klist <- Klist.union info.klist (own_klist kn);
+    info.cid <- Cid.merge info.cid (feature kn)
+  done;
+  close min_int;
+  { doc; root_info }
 
 let root t = t.root_info
 
@@ -120,4 +149,24 @@ let label_groups info =
       })
     !order
 
-let info_of t id = Hashtbl.find_opt t.by_id id
+(* Descend from the root through the child whose subtree holds [id]. *)
+let info_of t id =
+  let contains (info : info) =
+    info.id <= id && id <= (Tree.node t.doc info.id).subtree_end
+  in
+  (* xkscost: unticked off the search path: lookups serve tests and explanations, never the pruning walk *)
+  let rec descend (info : info) =
+    if info.id = id then Some info else child info.rtf_children
+  (* xkscost: unticked off the search path: one scan of a member's RTF children per level *)
+  and child = function
+    | [] -> None
+    | c :: rest -> if contains c then descend c else child rest
+  in
+  if contains t.root_info then descend t.root_info else None
+
+module Content_table = Hashtbl.Make (struct
+  type t = info
+
+  let equal (a : info) (b : info) = a.klist = b.klist && Cid.equal a.cid b.cid
+  let hash (a : info) = (a.klist * 65599) + Cid.hash a.cid
+end)

@@ -8,10 +8,19 @@
     distinct key numbers ([chkList]) and the children's cIDs, which is
     everything Definition 4 needs.
 
-    The constructing step starts from each keyword node, fills its self
-    info from the document, and transfers it to every ancestor up to the
-    RTF root (the paper's lines 5–12, including the line 11–12 fix that
-    pushes the information all the way up). *)
+    The constructing step sweeps the RTF's keyword nodes once, in
+    reverse document order, keeping the open path from the RTF root on a
+    stack.  Each member is created the first time the sweep reaches it
+    and prepended to its parent, so children come out in document order
+    without sorting; a keyword node's own [kList] comes from one cursor
+    per posting list that only moves backwards.  When the sweep leaves a
+    member's subtree, the member folds its [kList]/[cID] into its parent.
+    This equals the paper's lines 5–12 — each keyword node's information
+    pushed to every ancestor up to the RTF root, with the line 11–12 fix —
+    because key-number union and [cID] merging are associative,
+    commutative and idempotent.  The whole step is linear in the raw RTF
+    (plus the posting entries inside the RTF root's range) and builds no
+    id-indexed side table. *)
 
 type info = private {
   id : int;
@@ -45,4 +54,12 @@ val label_groups : info -> label_group list
     order of first appearance. *)
 
 val info_of : t -> int -> info option
-(** Look up the info of an RTF member by node id. *)
+(** Look up the info of an RTF member by node id; [None] for any node
+    outside the RTF.  Descends from the root through the child whose
+    subtree holds the id, so it costs the fan-out summed along the path:
+    meant for tests and explanations, not for the pruning walk. *)
+
+module Content_table : Hashtbl.S with type key = info
+(** Infos hashed and compared by [(klist, cid)] only — the key of
+    Definition 4 rule 2(b), under which siblings with equal keyword sets
+    and equal content features are duplicates. *)

@@ -1,5 +1,4 @@
 module Klist = Xks_index.Klist
-module Cid = Xks_index.Cid
 
 (* Children of [info] surviving Definition 4, document order preserved
    within each label group.
@@ -12,37 +11,29 @@ module Cid = Xks_index.Cid
    are tracked per keyword set here.  EXPERIMENTS.md discusses the
    discrepancy; test_prune.ml pins the behaviour. *)
 let valid_children (info : Node_info.info) =
-  let keep_of_group (g : Node_info.label_group) =
-    if g.counter = 1 then g.group_children
-    else begin
-      let used_cids_by_knum = Hashtbl.create 4 in
-      let cid_used knum c =
-        match Hashtbl.find_opt used_cids_by_knum knum with
-        | Some cids -> List.exists (Cid.equal c) !cids
-        | None -> false
+  match info.rtf_children with
+  | [] | [ _ ] -> info.rtf_children (* no sibling: rule 1 *)
+  | _ :: _ :: _ ->
+      let keep_of_group (g : Node_info.label_group) =
+        if g.counter = 1 then g.group_children
+        else begin
+          (* Once a keyword set passes rule 2(a) every child carrying it
+             does, so rule 2(b) only has to remember the (klist, cid)
+             pairs kept so far. *)
+          let kept = Node_info.Content_table.create 8 in
+          List.filter
+            (fun (ch : Node_info.info) ->
+              if Klist.covered_by_any ch.klist g.chklist
+                 || Node_info.Content_table.mem kept ch
+              then false
+              else begin
+                Node_info.Content_table.add kept ch ();
+                true
+              end)
+            g.group_children
+        end
       in
-      let record knum c =
-        match Hashtbl.find_opt used_cids_by_knum knum with
-        | Some cids -> cids := c :: !cids
-        | None -> Hashtbl.add used_cids_by_knum knum (ref [ c ])
-      in
-      List.filter
-        (fun (ch : Node_info.info) ->
-          if Hashtbl.mem used_cids_by_knum ch.klist then
-            if cid_used ch.klist ch.cid then false
-            else begin
-              record ch.klist ch.cid;
-              true
-            end
-          else if Klist.covered_by_any ch.klist g.chklist then false
-          else begin
-            record ch.klist ch.cid;
-            true
-          end)
-        g.group_children
-    end
-  in
-  List.concat_map keep_of_group (Node_info.label_groups info)
+      List.concat_map keep_of_group (Node_info.label_groups info)
 
 (* Children surviving MaxMatch's contributor test: no sibling (any label)
    with a strictly larger keyword set. *)

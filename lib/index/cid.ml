@@ -36,7 +36,12 @@ let merge a b =
   match (a, b) with
   | Empty, x | x, Empty -> x
   | Minmax (alo, ahi), Minmax (blo, bhi) ->
-      Minmax (str_min alo blo, str_max ahi bhi)
+      (* Reuse an operand that already spans the union: merging is
+         mostly folding a feature into one that covers it. *)
+      let lo = String.compare alo blo and hi = String.compare ahi bhi in
+      if lo <= 0 && hi >= 0 then a
+      else if lo >= 0 && hi <= 0 then b
+      else Minmax ((if lo <= 0 then alo else blo), if hi >= 0 then ahi else bhi)
   | Words a, Words b -> Words (merge_sorted a b)
   | Minmax _, Words _ | Words _, Minmax _ ->
       invalid_arg "Cid.merge: mixing approximate and exact features"
@@ -54,6 +59,7 @@ let compare a b =
   | Words _, Minmax _ -> 1
 
 let equal a b = compare a b = 0
+let hash (c : t) = Hashtbl.hash c
 
 let is_empty = function Empty -> true | Minmax _ | Words _ -> false
 

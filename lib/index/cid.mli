@@ -26,6 +26,10 @@ val merge : t -> t -> t
     @raise Invalid_argument when mixing modes. *)
 
 val equal : t -> t -> bool
+
+val hash : t -> int
+(** A hash consistent with {!equal}. *)
+
 val compare : t -> t -> int
 val is_empty : t -> bool
 

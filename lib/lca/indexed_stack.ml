@@ -17,23 +17,30 @@ let is_elca ?budget doc postings (u : Tree.node) child_ranges =
   let ranges = List.rev child_ranges (* ascending start *) in
   let u_depth = Dewey.depth u.dewey in
   let witness_for posting =
-    let rec probe pos =
+    (* The probe position only moves forward, so [ranges] is consumed as
+       it goes: ranges ending before the probe are dropped for good, and
+       the head is the only one that can hold it (they are disjoint). *)
+    let rec probe pos ranges =
       Xks_robust.Budget.tick_opt budget 1;
       if pos > u.subtree_end then false
       else
         match Bsearch.first_in_range posting ~lo:pos ~hi:u.subtree_end with
         | None -> false
         | Some x -> (
-            (* xkscost: unticked prefix skip over u's disjoint child ranges; probe ticks each probe *)
-            match List.find_opt (fun (lo, hi) -> x >= lo && x <= hi) ranges with
-            | Some (_, hi) -> probe (hi + 1)
-            | None -> (
+            match skip_before x ranges with
+            | (lo, hi) :: rest when lo <= x -> probe (hi + 1) rest
+            | rest -> (
                 match Probe.fc doc postings (Tree.node doc x) with
                 | None -> assert false (* no list is empty here *)
                 | Some f ->
-                    Dewey.depth f.dewey <= u_depth || probe (f.subtree_end + 1)))
+                    Dewey.depth f.dewey <= u_depth
+                    || probe (f.subtree_end + 1) rest))
+    (* xkscost: unticked amortised: drops each child range once per posting; probe ticks each probe *)
+    and skip_before x = function
+      | (_, hi) :: rest when hi < x -> skip_before x rest
+      | ranges -> ranges
     in
-    probe u.id
+    probe u.id ranges
   in
   Array.for_all witness_for postings
 

@@ -23,7 +23,10 @@ let slca doc postings =
     Dewey.is_ancestor na.dewey nb.dewey
   in
   (* xkscost: unticked oracle: quadratic minimality filter, test/check-oracle only *)
-  List.filter (fun a -> not (List.exists (fun b -> strict_desc a b) fcs)) fcs
+  List.filter
+    (* xkscost: unticked oracle: inner minimality scan, test/check-oracle only *)
+    (fun a -> not (List.exists (fun b -> strict_desc a b) fcs)) (* xkscost: allow membership-scan oracle-only reference *)
+    fcs
 
 let elca doc postings =
   let fcs = full_containers doc postings in
@@ -32,7 +35,7 @@ let elca doc postings =
        in the subtree of any full container strictly below [n]. *)
     let excluded id =
       (* xkscost: unticked oracle: per-occurrence exclusion scan, test/check-oracle only *)
-      List.exists
+      List.exists (* xkscost: allow membership-scan oracle: Definition 3 exclusion scan, test/check-oracle only *)
         (fun f ->
           f <> n.id
           && in_range n f

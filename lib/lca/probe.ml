@@ -23,7 +23,7 @@ let closest_lca_depth doc posting (x : Tree.node) =
     | None, None -> None
     | Some l, None -> Some (depth_with l)
     | None, Some r -> Some (depth_with r)
-    | Some l, Some r -> Some (max (depth_with l) (depth_with r))
+    | Some l, Some r -> Some (Int.max (depth_with l) (depth_with r))
 
 let fc doc postings (x : Tree.node) =
   (* xkscost: unticked k-bounded: two binary-search probes per keyword list; every caller ticks per candidate before probing *)
@@ -32,7 +32,7 @@ let fc doc postings (x : Tree.node) =
     else
       match closest_lca_depth doc postings.(i) x with
       | None -> None
-      | Some d -> loop (i + 1) (min depth d)
+      | Some d -> loop (i + 1) (Int.min depth d)
   in
   match loop 0 (Dewey.depth x.dewey) with
   | None -> None

@@ -54,6 +54,7 @@ type candidate = {
   score : float;
   tf : int array;
   knodes : int array;
+  is_slca : bool;
 }
 
 type outcome = { top : candidate list; early_exit : bool; scanned : int }
@@ -261,10 +262,19 @@ let run ?budget ~k ~score ~bound doc postings =
           Xks_util.Int_vec.sort_uniq out;
           Xks_util.Int_vec.to_array out)
     in
+    (* [passed] is final at a winner's pop and lists every emitted ELCA
+       strictly inside it; an ELCA with none below is an SLCA (a full
+       container strictly below would hold an SLCA, itself an ELCA). *)
     let top =
       List.map
         (fun (s, id, (tf, passed)) ->
-          { lca = id; score = s; tf; knodes = knodes_of id passed })
+          {
+            lca = id;
+            score = s;
+            tf;
+            knodes = knodes_of id passed;
+            is_slca = passed = [];
+          })
         (Topheap.to_sorted_list heap)
     in
     { top; early_exit = !early; scanned = !i }

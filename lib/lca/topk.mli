@@ -25,6 +25,9 @@ type candidate = {
   knodes : int array;
       (** sorted, distinct keyword-node ids dispatched to this LCA —
           identical to the full pipeline's {!Xks_core.Rtf.t}[.knodes] *)
+  is_slca : bool;
+      (** no other ELCA lies inside this one, so it is an SLCA — read off
+          the scan's own bookkeeping, with no separate SLCA run *)
 }
 
 type outcome = {

@@ -1,4 +1,8 @@
-let lower_bound a x =
+(* The int annotations matter: unannotated, these generalise to
+   ['a array] and every probe goes through polymorphic comparison and
+   the float-array check on each read, roughly doubling the cost of the
+   LCA scans, dispatch and scoring that sit on top of them. *)
+let lower_bound (a : int array) (x : int) =
   let lo = ref 0 and hi = ref (Array.length a) in
   while !lo < !hi do
     let mid = (!lo + !hi) / 2 in
@@ -6,7 +10,7 @@ let lower_bound a x =
   done;
   !lo
 
-let upper_bound a x =
+let upper_bound (a : int array) (x : int) =
   let lo = ref 0 and hi = ref (Array.length a) in
   while !lo < !hi do
     let mid = (!lo + !hi) / 2 in

@@ -146,6 +146,31 @@ let test_search_result_clean_run () =
   Alcotest.(check int) "search agrees" (List.length result.Engine.hits)
     (List.length (Engine.search engine [ "xml"; "search" ]))
 
+(* Full enumeration tags SLCAs from the minimal elements of its LCA
+   list; the tags must equal membership in a separate SLCA run for every
+   algorithm, and on the streaming top-k path too. *)
+let prop_slca_tags_match_slca_run =
+  QCheck2.Test.make ~name:"is_slca is membership in the SLCA set" ~count:300
+    ~print:(fun (doc, ws) ->
+      Printf.sprintf "query=%s doc=%s" (String.concat "," ws)
+        (Helpers.print_doc doc))
+    QCheck2.Gen.(pair Helpers.gen_doc Helpers.gen_query)
+    (fun (doc, ws) ->
+      let engine = Engine.of_doc doc in
+      let slcas =
+        Xks_lca.Slca.indexed_lookup_eager doc (Helpers.postings_for doc ws)
+      in
+      let tags_agree hits =
+        List.for_all
+          (fun (h : Engine.hit) ->
+            h.Engine.is_slca = List.mem h.Engine.rtf.Xks_core.Rtf.lca slcas)
+          hits
+      in
+      List.for_all
+        (fun algorithm -> tags_agree (Engine.search ~algorithm engine ws))
+        [ Engine.Validrtf; Engine.Maxmatch; Engine.Maxmatch_original ]
+      && tags_agree (Engine.search ~rank:`Bm25 ~k:2 engine ws))
+
 let tests =
   [
     Alcotest.test_case "end-to-end search" `Quick test_search_end_to_end;
@@ -162,4 +187,5 @@ let tests =
     Alcotest.test_case "degraded non-empty result" `Quick
       test_search_result_degraded_nonempty;
     Alcotest.test_case "clean search_result" `Quick test_search_result_clean_run;
+    Helpers.qtest prop_slca_tags_match_slca_run;
   ]

@@ -146,6 +146,72 @@ let prop_root_always_kept =
           Fragment.mem (Prune.valid_contributor info) rtf.Rtf.lca)
         (infos_of doc ws))
 
+(* The constructing step against the paper's formulation (lines 5-12 of
+   Algorithm 1): every keyword node pushes its key number and content
+   feature to itself and each ancestor up to the RTF root; the nodes
+   reached are exactly the RTF members. *)
+let prop_construct_matches_definition =
+  QCheck2.Test.make ~name:"node-info tree matches its definition" ~count:300
+    ~print:print_case gen_case (fun (doc, ws) ->
+      let q = Query.make (Xks_index.Inverted.build doc) ws in
+      let lcas = Xks_lca.Indexed_stack.elca q.doc q.postings in
+      List.for_all
+        (fun cid_mode ->
+          List.for_all
+            (fun (rtf : Rtf.t) ->
+              let expected = Hashtbl.create 16 in
+              Array.iter
+                (fun kn ->
+                  let klist = Query.node_klist q kn in
+                  let cid =
+                    Xks_index.Cid.of_words cid_mode
+                      (Tree.content_words doc (Tree.node doc kn))
+                  in
+                  let rec up id =
+                    let k0, c0 =
+                      Option.value
+                        ~default:(Xks_index.Klist.empty, Xks_index.Cid.empty)
+                        (Hashtbl.find_opt expected id)
+                    in
+                    Hashtbl.replace expected id
+                      (Xks_index.Klist.union k0 klist, Xks_index.Cid.merge c0 cid);
+                    if id <> rtf.lca then up (Tree.node doc id).Tree.parent
+                  in
+                  up kn)
+                rtf.knodes;
+              Hashtbl.replace expected rtf.lca
+                (Option.value
+                   ~default:(Xks_index.Klist.empty, Xks_index.Cid.empty)
+                   (Hashtbl.find_opt expected rtf.lca));
+              let t = Node_info.construct ~cid_mode q rtf in
+              let member_ok id (klist, cid) =
+                let children =
+                  Hashtbl.fold
+                    (fun c _ acc ->
+                      if c <> rtf.lca && (Tree.node doc c).Tree.parent = id
+                      then c :: acc
+                      else acc)
+                    expected []
+                  |> List.sort Int.compare
+                in
+                match Node_info.info_of t id with
+                | None -> false
+                | Some info ->
+                    info.id = id && info.klist = klist
+                    && Xks_index.Cid.equal info.cid cid
+                    && List.map (fun (c : Node_info.info) -> c.id)
+                         info.rtf_children
+                       = children
+              in
+              (Node_info.root t).id = rtf.lca
+              && Hashtbl.fold (fun id e ok -> ok && member_ok id e) expected true
+              && List.for_all
+                   (fun id ->
+                     Hashtbl.mem expected id || Node_info.info_of t id = None)
+                   (List.init (Tree.size doc) Fun.id))
+            (Rtf.get_rtfs q lcas))
+        [ Xks_index.Cid.Approx; Xks_index.Cid.Exact ])
+
 let tests =
   [
     Alcotest.test_case "rule 1: unique label kept" `Quick test_rule1_unique_label_kept;
@@ -162,4 +228,5 @@ let tests =
     Helpers.qtest prop_pruned_still_covers_query;
     Helpers.qtest prop_pruned_connected;
     Helpers.qtest prop_root_always_kept;
+    Helpers.qtest prop_construct_matches_definition;
   ]

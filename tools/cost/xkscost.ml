@@ -48,9 +48,12 @@
                          every iteration, turning a linear scan
                          quadratic (the PR 9 regression class).
    C2 [membership-scan]  [List.mem]/[assoc]/[nth] (and [..._opt]/[memq]
-                         variants): a linear scan per iteration where
+                         variants), and the predicate scans
+                         [List.exists]/[for_all]/[find]/[find_opt]/
+                         [find_map]: a linear scan per iteration where
                          the scan path promises one pass over sorted
-                         postings.
+                         postings (a [List.exists] dedup over an
+                         accumulated list made rule 2(b) quadratic).
    C3 [hashtbl-fold]     [Hashtbl.fold] under iteration: rebuilds an
                          accumulator over the whole table per step.
    C4 [loop-alloc]       closure or tuple allocated per iteration of a
@@ -648,6 +651,17 @@ let idiom_of q f =
              quadratic membership; use a Hashtbl, a sorted array with \
              Bsearch, or justify with (* xkscost: allow membership-scan \
              <reason> *)"
+            f )
+  | Some "List", ("exists" | "for_all" | "find" | "find_opt" | "find_map")
+    ->
+      Some
+        ( "membership-scan",
+          Printf.sprintf
+            "List.%s runs its predicate over the list per call — inside a \
+             hot loop, over a list that grows with the input, this is a \
+             quadratic scan (the rule-2b dedup regression class); key a \
+             Hashtbl on what the predicate compares, or justify with (* \
+             xkscost: allow membership-scan <reason> *)"
             f )
   | Some "Hashtbl", "fold" ->
       Some
