@@ -17,11 +17,15 @@
                            (the analyzers' 0-clean/1-findings contract).
      expected/<name>.json  run `TOOL --json fixtures/<name>`; stdout
                            must equal the pinned file (exit 0 or 1).
+     expected/<name>.err   run `TOOL fixtures/<name>`; the tool must
+                           reject the input: exit 2, print nothing on
+                           stdout, and print exactly the pinned file on
+                           stderr.
 
-   Every fixture directory must have a pinned .out — an unpinned
-   fixture is an error, not a silent skip.  Generated outputs are left
-   next to the runner as <name>.out.gen / <name>.json.gen for
-   inspection; `--update` rewrites the pinned files from the actual
+   Every fixture directory must have a pinned .out or .err — an
+   unpinned fixture is an error, not a silent skip.  Generated outputs
+   are left next to the runner as <name>.out.gen / <name>.json.gen /
+   <name>.err.gen.err for inspection; `--update` rewrites the pinned files from the actual
    output instead of diffing (run it via `dune exec` from the tool's
    source directory when a rule legitimately changes).
 
@@ -97,10 +101,9 @@ let entries_with_suffix dir suffix =
          else None)
   |> List.sort String.compare
 
-(* Run the tool, capturing stdout into [out_file] (stderr goes to a
-   sibling .err file shown only on failure).  Only exit codes 0 and 1
-   are part of the analyzer contract; anything else is a runner-level
-   failure. *)
+(* Run the tool, capturing stdout into [out_file] and stderr into the
+   sibling [out_file ^ ".err"]; returns the exit code and both
+   streams. *)
 let run_tool cfg ~args ~out_file =
   let err_file = out_file ^ ".err" in
   let cmd =
@@ -108,12 +111,7 @@ let run_tool cfg ~args ~out_file =
       (cfg.tool_args @ args)
   in
   let code = Sys.command cmd in
-  if code <> 0 && code <> 1 then begin
-    Printf.eprintf "golden: %s exited %d (not 0/1) on: %s\n%s" cfg.tool code
-      (String.concat " " args) (read_file err_file);
-    exit 1
-  end;
-  (code, read_file out_file)
+  (code, read_file out_file, read_file err_file)
 
 let first_diff a b =
   let la = String.split_on_char '\n' a and lb = String.split_on_char '\n' b in
@@ -127,10 +125,22 @@ let first_diff a b =
   in
   go 1 la lb
 
+(* A .err pin expects a rejected input (exit 2, empty stdout) and pins
+   stderr; .out and .json pins expect the 0/1 findings contract and pin
+   stdout — any other exit code there is a runner-level failure. *)
 let check_one cfg ~failures ~name ~suffix ~args =
   let pinned = Filename.concat cfg.expected (name ^ suffix) in
   let out_file = name ^ suffix ^ ".gen" in
-  let code, actual = run_tool cfg ~args ~out_file in
+  let code, stdout, stderr = run_tool cfg ~args ~out_file in
+  let rejects = String.equal suffix ".err" in
+  if (not rejects) && code <> 0 && code <> 1 then begin
+    Printf.eprintf "golden: %s exited %d (not 0/1) on: %s\n%s" cfg.tool code
+      (String.concat " " args) stderr;
+    exit 1
+  end;
+  let actual, actual_file =
+    if rejects then (stderr, out_file ^ ".err") else (stdout, out_file)
+  in
   if cfg.update then begin
     if not (Sys.file_exists pinned) || read_file pinned <> actual then begin
       write_file pinned actual;
@@ -139,6 +149,13 @@ let check_one cfg ~failures ~name ~suffix ~args =
   end
   else begin
     let want = read_file pinned in
+    if rejects && (code <> 2 || stdout <> "") then begin
+      incr failures;
+      Printf.eprintf
+        "golden: %s: expected a rejection (exit 2, empty stdout), got exit \
+         %d with %d byte(s) on stdout\n"
+        name code (String.length stdout)
+    end;
     if String.equal suffix ".out" && (code = 1) <> (want <> "") then begin
       incr failures;
       Printf.eprintf
@@ -156,7 +173,7 @@ let check_one cfg ~failures ~name ~suffix ~args =
              \  expected: %s\n\
              \  actual:   %s\n\
              (full actual output left in %s)\n"
-            name pinned line e a out_file
+            name pinned line e a actual_file
     end
   end
 
@@ -175,15 +192,16 @@ let () =
     [ cfg.fixtures; cfg.expected ];
   let outs = entries_with_suffix cfg.expected ".out" in
   let jsons = entries_with_suffix cfg.expected ".json" in
+  let errs = entries_with_suffix cfg.expected ".err" in
   (* Every fixture must be pinned: a fixture tree with no expected .out
-     would otherwise never run and silently rot. *)
+     or .err would otherwise never run and silently rot. *)
   Sys.readdir cfg.fixtures |> Array.to_list |> List.sort String.compare
   |> List.iter (fun f ->
          if
            Sys.is_directory (Filename.concat cfg.fixtures f)
-           && not (List.mem f outs)
+           && not (List.mem f outs || List.mem f errs)
          then begin
-           Printf.eprintf "golden: fixture %s/%s has no pinned %s/%s.out\n"
+           Printf.eprintf "golden: fixture %s/%s has no pinned %s/%s.out or .err\n"
              cfg.fixtures f cfg.expected f;
            exit 1
          end);
@@ -198,6 +216,11 @@ let () =
       check_one cfg ~failures ~name ~suffix:".json"
         ~args:[ "--json"; Filename.concat cfg.fixtures name ])
     jsons;
+  List.iter
+    (fun name ->
+      check_one cfg ~failures ~name ~suffix:".err"
+        ~args:[ Filename.concat cfg.fixtures name ])
+    errs;
   if !failures > 0 then begin
     Printf.eprintf "golden: %d mismatch(es)\n" !failures;
     exit 1
