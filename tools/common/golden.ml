@@ -207,20 +207,13 @@ let () =
          end);
   let failures = ref 0 in
   List.iter
-    (fun name ->
-      check_one cfg ~failures ~name ~suffix:".out"
-        ~args:[ Filename.concat cfg.fixtures name ])
-    outs;
-  List.iter
-    (fun name ->
-      check_one cfg ~failures ~name ~suffix:".json"
-        ~args:[ "--json"; Filename.concat cfg.fixtures name ])
-    jsons;
-  List.iter
-    (fun name ->
-      check_one cfg ~failures ~name ~suffix:".err"
-        ~args:[ Filename.concat cfg.fixtures name ])
-    errs;
+    (fun (suffix, names, flags) ->
+      List.iter
+        (fun name ->
+          check_one cfg ~failures ~name ~suffix
+            ~args:(flags @ [ Filename.concat cfg.fixtures name ]))
+        names)
+    [ (".out", outs, []); (".json", jsons, [ "--json" ]); (".err", errs, []) ];
   if !failures > 0 then begin
     Printf.eprintf "golden: %d mismatch(es)\n" !failures;
     exit 1

@@ -1,13 +1,13 @@
-(* Shared driver/reporting layer for the xks static analyzers.
+(* Output contract shared by the xks static analyzers.
 
-   xkslint, xksrace and xksleak are separate binaries with one
+   xkslint, xksrace, xksleak and xkscost are separate binaries with one
    contract: scan the directory roots given on the command line, print
    findings in the compiler's own location format (or one JSON object
    under [--json]), and exit 0 clean / 1 findings / 2 usage-or-parse
-   errors.  This module is that contract, factored out so the three
-   tools cannot drift: the finding record, the deterministic sort, the
-   text and JSON printers, the directory walk, the parse front end and
-   the exit logic all live here.
+   errors.  This module is that contract, factored out so the four
+   tools cannot drift: the finding record, the command line, the
+   deterministic sort, the text and JSON printers and the exit logic
+   all live here; the front end that reads the program is [Program].
 
    The JSON finding schema is shared by all tools:
 
@@ -26,14 +26,6 @@ type finding = {
   msg : string;
 }
 
-(* --- locations --- *)
-
-let line_of (loc : Location.t) = loc.loc_start.pos_lnum
-
-let cols_of (loc : Location.t) =
-  ( loc.loc_start.pos_cnum - loc.loc_start.pos_bol,
-    loc.loc_end.pos_cnum - loc.loc_end.pos_bol )
-
 (* --- deterministic ordering: file, then line, then column, then rule --- *)
 
 let sort findings =
@@ -48,37 +40,6 @@ let sort findings =
           let c = Int.compare a.cstart b.cstart in
           if c <> 0 then c else String.compare a.rule b.rule)
     findings
-
-(* --- source discovery and parsing --- *)
-
-let rec walk_dir path acc =
-  if Sys.is_directory path then
-    Array.fold_left
-      (fun acc entry ->
-        if String.length entry > 0 && not (Char.equal entry.[0] '.') then
-          walk_dir (Filename.concat path entry) acc
-        else acc)
-      acc
-      (let entries = Sys.readdir path in
-       Array.sort String.compare entries;
-       entries)
-  else if Filename.check_suffix path ".ml" then path :: acc
-  else acc
-
-let read_file path =
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in_noerr ic)
-    (fun () -> really_input_string ic (in_channel_length ic))
-
-let parse_implementation ~tool path src =
-  let lexbuf = Lexing.from_string src in
-  Lexing.set_filename lexbuf path;
-  match Parse.implementation lexbuf with
-  | structure -> structure
-  | exception Syntaxerr.Error _ ->
-      Printf.eprintf "%s: %s: syntax error\n" tool path;
-      exit 2
 
 (* --- command line: [--json] [--rules ID[,ID...]] plus directory roots --- *)
 
@@ -146,11 +107,6 @@ let parse_argv_opts ?known_rules ~tool argv =
 
 let rule_enabled opts id =
   match opts.rules with None -> true | Some ids -> List.mem id ids
-
-(* The historical two-value form, kept for tools without rule staging. *)
-let parse_argv ~tool argv =
-  let opts = parse_argv_opts ~tool argv in
-  (opts.json, opts.roots)
 
 (* --- output --- *)
 

@@ -1,7 +1,8 @@
-(** Shared driver/reporting layer for the xks static analyzers
-    (xkslint, xksrace, xksleak).
+(** The output contract shared by the four xks static analyzers
+    (xkslint, xksrace, xksleak, xkscost); their common front end is
+    {!Program}.
 
-    One contract for all three binaries: findings print in the
+    One contract for all four binaries: findings print in the
     compiler's location format or as one JSON object under [--json]
     with the unified schema [{file, line, cstart, cend, rule,
     message}]; exit status is 0 clean, 1 findings, 2 usage or parse
@@ -15,29 +16,6 @@ type finding = {
   rule : string;  (** kebab-case rule id, e.g. ["leak-on-raise"] *)
   msg : string;
 }
-
-val line_of : Location.t -> int
-(** 1-based start line of a compiler location. *)
-
-val cols_of : Location.t -> int * int
-(** 0-based [(start, end)] column span of a compiler location. *)
-
-val sort : finding list -> finding list
-(** Deterministic report order: file, then line, then column, then
-    rule id. *)
-
-val walk_dir : string -> string list -> string list
-(** [walk_dir root acc] prepends every [.ml] file under [root]
-    (dot-entries skipped, entries visited in sorted order) to [acc];
-    the result is reverse-sorted, so callers [List.rev] it. *)
-
-val read_file : string -> string
-(** Whole file as a string; the channel is closed on any exit. *)
-
-val parse_implementation : tool:string -> string -> string -> Parsetree.structure
-(** [parse_implementation ~tool path src] parses [src] with the
-    compiler front end, locations anchored to [path].  Exits 2 with a
-    diagnostic on [tool]'s behalf on a syntax error. *)
 
 type options = {
   json : bool;  (** [--json] present *)
@@ -56,21 +34,7 @@ val rule_enabled : options -> string -> bool
 (** Whether findings of rule [id] should be emitted under the parsed
     [--rules] filter (always [true] without one). *)
 
-val parse_argv : tool:string -> string array -> bool * string list
-(** Parse [argv] into ([--json] present, directory roots) — the
-    historical two-value form of {!parse_argv_opts} for tools without
-    rule staging.  Exits 2 on an empty root list or a nonexistent
-    root. *)
-
-val json_escape : string -> string
-(** Escape a string for embedding in a JSON literal. *)
-
-val print_text : finding -> unit
-(** One finding in the two-line compiler format. *)
-
-val print_json : tool:string -> files_scanned:int -> finding list -> unit
-(** The whole report as one JSON object on stdout. *)
-
 val report : tool:string -> json:bool -> files_scanned:int -> finding list -> unit
-(** Sort, print (text or JSON) and exit: 0 when clean, 1 with findings
-    (text mode adds a one-line stderr summary). *)
+(** Sort (file, line, column, rule id), print (text in the two-line
+    compiler format, or one JSON object) and exit: 0 when clean, 1 with
+    findings (text mode adds a one-line stderr summary). *)

@@ -88,10 +88,12 @@
    over-approximates; reachability ignores dead branches; the
    traversal vocabulary is nominal — a posting array renamed [xs]
    escapes B1, and a [stack] of something else is conservatively
-   in.  Output, [--json], [--rules] staging and the 0/1/2 exit
-   contract are the shared analyzer layer ([Xks_report.Report]). *)
+   in.  The loader, annotation lexer (the verb table below), names
+   and fixpoint are the shared [Xks_report.Program]; output, [--json],
+   [--rules] staging and the 0/1/2 exit contract are
+   [Xks_report.Report]. *)
 
-module StringSet = Set.Make (String)
+open Xks_report.Program
 module Report = Xks_report.Report
 
 let tool = "xkscost"
@@ -141,103 +143,14 @@ type ann =
   | Allow of string  (* rule id; the reason is for the human reader *)
   | Unticked
 
-let ann_marker = "(* xkscost: "
-
-let scan_annotations path src =
-  let anns : (int, ann list) Hashtbl.t = Hashtbl.create 16 in
-  let add line a =
-    let prev = match Hashtbl.find_opt anns line with Some l -> l | None -> [] in
-    Hashtbl.replace anns line (a :: prev)
-  in
-  let reject line body =
-    Printf.eprintf "xkscost: %s: line %d: unrecognized annotation %S\n" path
-      line body;
-    exit 2
-  in
-  let lines = String.split_on_char '\n' src in
-  List.iteri
-    (fun i text ->
-      match
-        let mlen = String.length ann_marker in
-        let tlen = String.length text in
-        let rec find from =
-          if from + mlen > tlen then None
-          else if String.equal (String.sub text from mlen) ann_marker then
-            Some (from + mlen)
-          else find (from + 1)
-        in
-        find 0
-      with
-      | None -> ()
-      | Some start ->
-          let stop =
-            let rec close j =
-              if j + 2 > String.length text then String.length text
-              else if String.equal (String.sub text j 2) "*)" then j
-              else close (j + 1)
-            in
-            close start
-          in
-          let body = String.trim (String.sub text start (stop - start)) in
-          let keyword, arg =
-            match String.index_opt body ' ' with
-            | None -> (body, "")
-            | Some sp ->
-                ( String.sub body 0 sp,
-                  String.trim
-                    (String.sub body (sp + 1) (String.length body - sp - 1)) )
-          in
-          let first_word s =
-            match String.index_opt s ' ' with
-            | None -> s
-            | Some sp -> String.sub s 0 sp
-          in
-          let line = i + 1 in
-          (match keyword with
-          | "hot" when arg = "" -> add line Hot
-          | "tight" when arg = "" -> add line Tight
-          | "allow" when arg <> "" ->
-              let rule = first_word arg in
-              let reason =
-                String.trim
-                  (String.sub arg (String.length rule)
-                     (String.length arg - String.length rule))
-              in
-              if not (List.mem rule all_rules) then reject line body;
-              if reason = "" then reject line body (* the why is the point *);
-              add line (Allow rule)
-          | "unticked" when arg <> "" -> add line Unticked
-          | _ -> reject line body))
-    lines;
-  anns
-
-let anns_at anns line =
-  let at l = match Hashtbl.find_opt anns l with Some l -> l | None -> [] in
-  at line @ at (line - 1)
+let verbs =
+  [ ("hot", Bare, fun _ -> Some Hot);
+    ("tight", Bare, fun _ -> Some Tight);
+    (* the reason is the point of the escape hatch: it is required *)
+    ("allow", Word_reason, fun r -> if List.mem r all_rules then Some (Allow r) else None);
+    ("unticked", Word, fun _ -> Some Unticked) ]
 
 let has_ann anns line p = List.exists p (anns_at anns line)
-
-(* ------------------------------------------------------------------ *)
-(* Locations and paths                                                *)
-
-let line_of = Report.line_of
-let cols_of = Report.cols_of
-
-let last_of (lid : Longident.t) =
-  match Longident.flatten lid with
-  | [] -> ""
-  | l -> List.nth l (List.length l - 1)
-
-let qualifier (lid : Longident.t) =
-  match lid with
-  | Longident.Ldot (path, _) -> (
-      match Longident.flatten path with
-      | [] -> None
-      | l -> Some (List.nth l (List.length l - 1)))
-  | Longident.Lident _ | Longident.Lapply _ -> None
-
-let module_of_path path =
-  String.capitalize_ascii (Filename.remove_extension (Filename.basename path))
 
 let under_lca_dir path =
   List.exists (String.equal "lca") (String.split_on_char '/' path)
@@ -306,27 +219,20 @@ type node = {
 let key_of m f = m ^ "." ^ f
 let nd_key n = key_of n.nd_module n.nd_name
 
-type file_info = {
-  fi_path : string;
-  fi_anns : (int, ann list) Hashtbl.t;
-  fi_structure : Parsetree.structure;
-}
-
 let nodes_of_file fi =
-  let mname = module_of_path fi.fi_path in
   let out = ref [] in
   let add ~toplevel (vb : Parsetree.value_binding) =
     match vb.pvb_pat.ppat_desc with
     | Ppat_var { txt; _ } ->
         out :=
           {
-            nd_module = mname;
+            nd_module = fi.modname;
             nd_name = txt;
-            nd_file = fi.fi_path;
+            nd_file = fi.path;
             nd_line = line_of vb.pvb_loc;
             nd_toplevel = toplevel;
             nd_hot_ann =
-              has_ann fi.fi_anns (line_of vb.pvb_loc) (function
+              has_ann fi.anns (line_of vb.pvb_loc) (function
                 | Hot -> true
                 | _ -> false);
             nd_body = vb.pvb_expr;
@@ -344,20 +250,17 @@ let nodes_of_file fi =
           Ast_iterator.default_iterator.value_binding it vb);
     }
   in
-  let rec item (si : Parsetree.structure_item) =
-    match si.pstr_desc with
-    | Pstr_value (_, vbs) ->
-        List.iter
-          (fun (vb : Parsetree.value_binding) ->
-            add ~toplevel:true vb;
-            nested.expr nested vb.pvb_expr)
-          vbs
-    | Pstr_module { pmb_expr = { pmod_desc = Pmod_structure s; _ }; _ } ->
-        List.iter item s
-    | Pstr_eval (e, _) -> nested.expr nested e
-    | _ -> ()
-  in
-  List.iter item fi.fi_structure;
+  iter_items
+    (function
+      | Pstr_value (_, vbs) ->
+          List.iter
+            (fun (vb : Parsetree.value_binding) ->
+              add ~toplevel:true vb;
+              nested.expr nested vb.pvb_expr)
+            vbs
+      | Pstr_eval (e, _) -> nested.expr nested e
+      | _ -> ())
+    fi.structure;
   !out
 
 (* ------------------------------------------------------------------ *)
@@ -400,6 +303,14 @@ let mentions_ticking g (m : mentions) ~in_module =
        (fun u -> Hashtbl.mem g.ticking (key_of in_module u))
        m.m_unqual
 
+let vocab_of g k = Option.value (Hashtbl.find_opt g.vocab k) ~default:StringSet.empty
+
+(* [base] plus the stems of every same-module callee [m] mentions. *)
+let region_vocab g ~in_module (m : mentions) base =
+  StringSet.fold
+    (fun u acc -> StringSet.union acc (vocab_of g (key_of in_module u)))
+    m.m_unqual base
+
 let build_graph infos =
   let nodes = List.concat_map nodes_of_file infos in
   let g =
@@ -414,98 +325,57 @@ let build_graph infos =
   List.iter
     (fun n ->
       let k = nd_key n in
-      let prev =
-        match Hashtbl.find_opt g.by_key k with Some l -> l | None -> []
-      in
+      let prev = Option.value (Hashtbl.find_opt g.by_key k) ~default:[] in
       Hashtbl.replace g.by_key k (n :: prev);
       Hashtbl.replace g.by_site (n.nd_file, n.nd_name, n.nd_line) n)
     nodes;
+  (* [add set k] is whether [k] was new to [set]. *)
+  let add set k =
+    let fresh = not (Hashtbl.mem set k) in
+    if fresh then Hashtbl.replace set k ();
+    fresh
+  in
   (* Hot set: seeds, then forward reachability along mention edges. *)
-  let seed_hot k = if not (Hashtbl.mem g.hot k) then Hashtbl.replace g.hot k () in
   List.iter
     (fun (m, f) ->
       let k = key_of m f in
-      if Hashtbl.mem g.by_key k then seed_hot k)
+      if Hashtbl.mem g.by_key k then ignore (add g.hot k))
     default_roots;
   List.iter
     (fun n ->
       if n.nd_hot_ann || (n.nd_toplevel && under_lca_dir n.nd_file) then
-        seed_hot (nd_key n))
+        ignore (add g.hot (nd_key n)))
     nodes;
-  let changed = ref true in
-  while !changed do
-    changed := false;
-    List.iter
-      (fun n ->
-        if Hashtbl.mem g.hot (nd_key n) then
-          List.iter
-            (fun k ->
-              if not (Hashtbl.mem g.hot k) then begin
-                Hashtbl.replace g.hot k ();
-                changed := true
-              end)
-            (edges g n))
-      nodes
-  done;
+  fixpoint
+    (fun n ->
+      Hashtbl.mem g.hot (nd_key n)
+      && List.fold_left (fun grew k -> add g.hot k || grew) false (edges g n))
+    nodes;
   (* Ticking set: the Budget primitives, then backward closure — a node
      ticks if it mentions a ticking key. *)
   List.iter (fun f -> Hashtbl.replace g.ticking (key_of "Budget" f) ()) budget_fns;
-  let changed = ref true in
-  while !changed do
-    changed := false;
-    List.iter
-      (fun n ->
-        let k = nd_key n in
-        if
-          (not (Hashtbl.mem g.ticking k))
-          && mentions_ticking g n.nd_mentions ~in_module:n.nd_module
-        then begin
-          Hashtbl.replace g.ticking k ();
-          changed := true
-        end)
-      nodes
-  done;
+  fixpoint
+    (fun n ->
+      mentions_ticking g n.nd_mentions ~in_module:n.nd_module
+      && add g.ticking (nd_key n))
+    nodes;
   (* Vocabulary set: which traversal stems a node's region mentions,
      closed over same-module callees. *)
   List.iter
     (fun n ->
       let k = nd_key n in
-      let prev =
-        match Hashtbl.find_opt g.vocab k with
-        | Some s -> s
-        | None -> StringSet.empty
-      in
       Hashtbl.replace g.vocab k
-        (List.fold_left
-           (fun acc s -> StringSet.add s acc)
-           prev
-           (stems_in n.nd_mentions.m_names)))
+        (StringSet.union (vocab_of g k) (StringSet.of_list (stems_in n.nd_mentions.m_names))))
     nodes;
-  let changed = ref true in
-  while !changed do
-    changed := false;
-    List.iter
-      (fun n ->
-        let k = nd_key n in
-        let mine =
-          match Hashtbl.find_opt g.vocab k with
-          | Some s -> s
-          | None -> StringSet.empty
-        in
-        let grown =
-          StringSet.fold
-            (fun u acc ->
-              match Hashtbl.find_opt g.vocab (key_of n.nd_module u) with
-              | Some s -> StringSet.union acc s
-              | None -> acc)
-            n.nd_mentions.m_unqual mine
-        in
-        if not (StringSet.equal grown mine) then begin
-          Hashtbl.replace g.vocab k grown;
-          changed := true
-        end)
-      nodes
-  done;
+  fixpoint
+    (fun n ->
+      let k = nd_key n in
+      let mine = vocab_of g k in
+      let grown = region_vocab g ~in_module:n.nd_module n.nd_mentions mine in
+      let changed = not (StringSet.equal grown mine) in
+      if changed then Hashtbl.replace g.vocab k grown;
+      changed)
+    nodes;
   g
 
 (* ------------------------------------------------------------------ *)
@@ -540,7 +410,6 @@ let rec callback_body (e : Parsetree.expression) acc =
 type env = { in_hot : bool; in_tick_arg : bool }
 
 let collect_loops g fi =
-  let mname = module_of_path fi.fi_path in
   let loops = ref [] in
   let add env ?(what = "loop") loc all bodies =
     if env.in_hot then
@@ -596,10 +465,10 @@ let collect_loops g fi =
   and walk_vb env (vb : Parsetree.value_binding) =
     match vb.pvb_pat.ppat_desc with
     | Ppat_var { txt; _ } ->
-        let key = key_of mname txt in
+        let key = key_of fi.modname txt in
         let env' = { env with in_hot = env.in_hot || Hashtbl.mem g.hot key } in
         (match
-           Hashtbl.find_opt g.by_site (fi.fi_path, txt, line_of vb.pvb_loc)
+           Hashtbl.find_opt g.by_site (fi.path, txt, line_of vb.pvb_loc)
          with
         | Some n when StringSet.mem txt n.nd_mentions.m_unqual ->
             (* Self-recursive: the whole body iterates. *)
@@ -611,15 +480,12 @@ let collect_loops g fi =
     | _ -> walk env vb.pvb_expr
   in
   let top = { in_hot = false; in_tick_arg = false } in
-  let rec item (si : Parsetree.structure_item) =
-    match si.pstr_desc with
-    | Pstr_value (_, vbs) -> List.iter (walk_vb top) vbs
-    | Pstr_eval (e, _) -> walk top e
-    | Pstr_module { pmb_expr = { pmod_desc = Pmod_structure s; _ }; _ } ->
-        List.iter item s
-    | _ -> ()
-  in
-  List.iter item fi.fi_structure;
+  iter_items
+    (function
+      | Pstr_value (_, vbs) -> List.iter (walk_vb top) vbs
+      | Pstr_eval (e, _) -> walk top e
+      | _ -> ())
+    fi.structure;
   !loops
 
 (* The complexity idioms, matched at application heads. *)
@@ -713,14 +579,13 @@ let scan_allocs ~emit expr =
   it.expr it expr
 
 let check_file g opts fi =
-  let mname = module_of_path fi.fi_path in
   let findings = ref [] in
   let seen = Hashtbl.create 16 in
   let emit (loc : Location.t) rule msg =
     let line = line_of loc in
     let cstart, cend = cols_of loc in
     let allowed =
-      has_ann fi.fi_anns line (function
+      has_ann fi.anns line (function
         | Allow r -> String.equal r rule
         | _ -> false)
     in
@@ -729,7 +594,7 @@ let check_file g opts fi =
     then begin
       Hashtbl.add seen key ();
       findings :=
-        { Report.file = fi.fi_path; line; cstart; cend; rule; msg } :: !findings
+        { Report.file = fi.path; line; cstart; cend; rule; msg } :: !findings
     end
   in
   let loops = collect_loops g fi in
@@ -738,12 +603,12 @@ let check_file g opts fi =
      complexity contract too. *)
   let lc : (string, unit) Hashtbl.t = Hashtbl.create 16 in
   let rec mark_lc name =
-    let k = key_of mname name in
+    let k = key_of fi.modname name in
     if Hashtbl.mem g.hot k && not (Hashtbl.mem lc k) then begin
       Hashtbl.replace lc k ();
       List.iter
         (fun n ->
-          if String.equal n.nd_file fi.fi_path then
+          if String.equal n.nd_file fi.path then
             StringSet.iter mark_lc n.nd_mentions.m_unqual)
         (match Hashtbl.find_opt g.by_key k with Some l -> l | None -> [])
     end
@@ -760,14 +625,14 @@ let check_file g opts fi =
     (fun k () ->
       List.iter
         (fun n ->
-          if String.equal n.nd_file fi.fi_path then scan_idioms ~emit n.nd_body)
+          if String.equal n.nd_file fi.path then scan_idioms ~emit n.nd_body)
         (match Hashtbl.find_opt g.by_key k with Some l -> l | None -> []))
     lc;
   (* Tight loops: per-iteration allocation checks are opt-in. *)
   List.iter
     (fun l ->
       let tight =
-        has_ann fi.fi_anns (line_of l.l_loc) (function
+        has_ann fi.anns (line_of l.l_loc) (function
           | Tight -> true
           | _ -> false)
       in
@@ -779,25 +644,16 @@ let check_file g opts fi =
       if not l.l_in_tick_arg then begin
         let m = mentions_of l.l_all in
         let stems =
-          List.fold_left
-            (fun acc s -> StringSet.add s acc)
-            StringSet.empty (stems_in m.m_names)
-        in
-        let stems =
-          StringSet.fold
-            (fun u acc ->
-              match Hashtbl.find_opt g.vocab (key_of mname u) with
-              | Some s -> StringSet.union acc s
-              | None -> acc)
-            m.m_unqual stems
+          region_vocab g ~in_module:fi.modname m
+            (StringSet.of_list (stems_in m.m_names))
         in
         let exempt =
-          has_ann fi.fi_anns (line_of l.l_loc) (function
+          has_ann fi.anns (line_of l.l_loc) (function
             | Unticked -> true
             | _ -> false)
         in
         if (not (StringSet.is_empty stems)) && not exempt then
-          if not (mentions_ticking g m ~in_module:mname) then
+          if not (mentions_ticking g m ~in_module:fi.modname) then
             emit l.l_loc "unticked-loop"
               (Printf.sprintf
                  "hot %s traverses index data (%s) but reaches no \
@@ -811,26 +667,9 @@ let check_file g opts fi =
   !findings
 
 (* ------------------------------------------------------------------ *)
-(* Driver (walk, output and exit contract live in Report)             *)
-
-let parse_file path =
-  let src = Report.read_file path in
-  {
-    fi_path = path;
-    fi_anns = scan_annotations path src;
-    fi_structure = Report.parse_implementation ~tool path src;
-  }
+(* Driver (loader, output and exit contract live in Xks_report)       *)
 
 let () =
-  let opts = Report.parse_argv_opts ~known_rules:all_rules ~tool Sys.argv in
-  let files =
-    List.concat_map
-      (fun r -> List.rev (Report.walk_dir r []))
-      opts.Report.roots
-  in
-  let infos = List.map parse_file files in
-  let g = build_graph infos in
-  let findings = List.concat_map (check_file g opts) infos in
-  Report.report ~tool ~json:opts.Report.json
-    ~files_scanned:(List.length files)
-    findings
+  run ~tool ~known_rules:all_rules ~verbs (fun opts infos ->
+      let g = build_graph infos in
+      List.concat_map (check_file g opts) infos)

@@ -104,11 +104,12 @@
    effects inside a [try] scrutinee survive, handler effects do not;
    function values passed as bare identifiers contribute no raises at
    the application that receives them (direct calls of unknowns do);
-   acquisitions buried in larger expressions are not tracked.  Output,
-   the [--json] schema and the 0/1/2 exit contract are the shared
-   analyzer layer ([Xks_report.Report]). *)
+   acquisitions buried in larger expressions are not tracked.  The
+   loader, annotation lexer, names and fixpoint are the shared
+   [Xks_report.Program]; output, the [--json] schema and the 0/1/2 exit
+   contract are [Xks_report.Report]. *)
 
-module StringSet = Set.Make (String)
+open Xks_report.Program
 module Report = Xks_report.Report
 
 let tool = "xksleak"
@@ -167,123 +168,14 @@ let failpoint_fns = [ "apply"; "read_file"; "trigger" ]
 
 type ann = Noraise | Owns of string | Releases of string | Transfers of string
 
-let ann_marker = "(* xksleak: "
-
-let scan_annotations path src =
-  let anns : (int, ann list) Hashtbl.t = Hashtbl.create 16 in
-  let add line a =
-    let prev = match Hashtbl.find_opt anns line with Some l -> l | None -> [] in
-    Hashtbl.replace anns line (a :: prev)
-  in
-  let lines = String.split_on_char '\n' src in
-  List.iteri
-    (fun i text ->
-      match
-        let mlen = String.length ann_marker in
-        let tlen = String.length text in
-        let rec find from =
-          if from + mlen > tlen then None
-          else if String.equal (String.sub text from mlen) ann_marker then
-            Some (from + mlen)
-          else find (from + 1)
-        in
-        find 0
-      with
-      | None -> ()
-      | Some start ->
-          let stop =
-            let rec close j =
-              if j + 2 > String.length text then String.length text
-              else if String.equal (String.sub text j 2) "*)" then j
-              else close (j + 1)
-            in
-            close start
-          in
-          let body = String.trim (String.sub text start (stop - start)) in
-          let keyword, arg =
-            match String.index_opt body ' ' with
-            | None -> (body, "")
-            | Some sp ->
-                ( String.sub body 0 sp,
-                  String.trim
-                    (String.sub body (sp + 1) (String.length body - sp - 1)) )
-          in
-          let first_word s =
-            match String.index_opt s ' ' with
-            | None -> s
-            | Some sp -> String.sub s 0 sp
-          in
-          let line = i + 1 in
-          (match keyword with
-          | "noraise" when arg = "" -> add line Noraise
-          | "owns" when arg <> "" -> add line (Owns (first_word arg))
-          | "releases" when arg <> "" -> add line (Releases (first_word arg))
-          | "transfers" when arg <> "" -> add line (Transfers (first_word arg))
-          | _ ->
-              Printf.eprintf
-                "xksleak: %s: line %d: unrecognized annotation %S\n" path line
-                body;
-              exit 2))
-    lines;
-  anns
-
-let anns_at anns line =
-  let at l = match Hashtbl.find_opt anns l with Some l -> l | None -> [] in
-  at line @ at (line - 1)
+let verbs =
+  [ ("noraise", Bare, fun _ -> Some Noraise);
+    ("owns", Word, fun p -> Some (Owns p));
+    ("releases", Word, fun p -> Some (Releases p));
+    ("transfers", Word, fun r -> Some (Transfers r)) ]
 
 (* ------------------------------------------------------------------ *)
-(* Locations and paths                                                *)
-
-let line_of = Report.line_of
-let cols_of = Report.cols_of
-
-let last_of (lid : Longident.t) =
-  match Longident.flatten lid with
-  | [] -> ""
-  | l -> List.nth l (List.length l - 1)
-
-let qualifier (lid : Longident.t) =
-  match lid with
-  | Longident.Ldot (path, _) -> (
-      match Longident.flatten path with
-      | [] -> None
-      | l -> Some (List.nth l (List.length l - 1)))
-  | Longident.Lident _ | Longident.Lapply _ -> None
-
-(* Last name on an access path: [s.lock] and [done_mutex] name the
-   resource "lock" / "done_mutex" (same convention as xksrace). *)
-let rec path_name (e : Parsetree.expression) =
-  match e.pexp_desc with
-  | Pexp_ident { txt; _ } -> last_of txt
-  | Pexp_field (_, { txt; _ }) -> last_of txt
-  | Pexp_constraint (e, _) -> path_name e
-  | _ -> "?"
-
-let module_of_path path =
-  String.capitalize_ascii (Filename.remove_extension (Filename.basename path))
-
-let rec peel (e : Parsetree.expression) =
-  match e.pexp_desc with
-  | Pexp_constraint (e, _) | Pexp_coerce (e, _, _) | Pexp_open (_, e) -> peel e
-  | _ -> e
-
-(* Bare idents mentioned anywhere in an expression (for implicit tail
-   transfer of a returned resource). *)
-let idents_of expr =
-  let acc = ref StringSet.empty in
-  let it =
-    {
-      Ast_iterator.default_iterator with
-      expr =
-        (fun it e ->
-          (match e.Parsetree.pexp_desc with
-          | Pexp_ident { txt = Lident x; _ } -> acc := StringSet.add x !acc
-          | _ -> ());
-          Ast_iterator.default_iterator.expr it e);
-    }
-  in
-  it.expr it expr;
-  !acc
+(* Patterns                                                           *)
 
 let pattern_vars p =
   let acc = ref [] in
@@ -319,14 +211,6 @@ type fn = {
   mutable fn_level : level;  (* fixpoint value, noraise NOT applied *)
 }
 
-type file_info = {
-  fi_path : string;
-  fi_module : string;
-  fi_anns : (int, ann list) Hashtbl.t;
-  fi_aliases : (string, string) Hashtbl.t;  (* local module alias -> target *)
-  fi_structure : Parsetree.structure;
-}
-
 (* Peel the [fun p1 p2 ->] chain off a binding, collecting parameter
    names ("_" for non-variable patterns, which can never be owned). *)
 let rec peel_fun (e : Parsetree.expression) =
@@ -350,7 +234,7 @@ let functions_of_file fi =
         | params, core ->
             let line = line_of vb.pvb_loc in
             let cstart, cend = cols_of vb.pvb_pat.ppat_loc in
-            let anns = anns_at fi.fi_anns line in
+            let anns = anns_at fi.anns line in
             let owns =
               List.filter_map (function Owns p -> Some p | _ -> None) anns
             in
@@ -363,14 +247,14 @@ let functions_of_file fi =
                   Printf.eprintf
                     "xksleak: %s: line %d: annotation names '%s', which is \
                      not a parameter of '%s'\n"
-                    fi.fi_path line p txt;
+                    fi.path line p txt;
                   exit 2
                 end)
               (owns @ releases);
             out :=
               {
-                fn_file = fi.fi_path;
-                fn_module = fi.fi_module;
+                fn_file = fi.path;
+                fn_module = fi.modname;
                 fn_name = txt;
                 fn_params = params;
                 fn_body = core;
@@ -385,43 +269,15 @@ let functions_of_file fi =
               :: !out)
     | _ -> ()
   in
-  let rec item (si : Parsetree.structure_item) =
-    match si.pstr_desc with
-    | Pstr_value (_, vbs) -> List.iter binding vbs
-    | Pstr_module { pmb_expr = { pmod_desc = Pmod_structure s; _ }; _ } ->
-        List.iter item s
-    | _ -> ()
-  in
-  List.iter item fi.fi_structure;
+  iter_items
+    (function Pstr_value (_, vbs) -> List.iter binding vbs | _ -> ())
+    fi.structure;
   !out
 
-let aliases_of_structure structure =
-  let aliases = Hashtbl.create 8 in
-  let rec item (si : Parsetree.structure_item) =
-    match si.pstr_desc with
-    | Pstr_module { pmb_name = { txt = Some name; _ }; pmb_expr; _ } -> (
-        match pmb_expr.pmod_desc with
-        | Pmod_ident { txt; _ } -> Hashtbl.replace aliases name (last_of txt)
-        | Pmod_structure s -> List.iter item s
-        | _ -> ())
-    | _ -> ()
-  in
-  List.iter item structure;
-  aliases
-
-(* The whole-program view pass 2 also uses. *)
-type program = {
-  table : (string * string, fn) Hashtbl.t;  (* (module, function) -> fn *)
-  modules : (string, string) Hashtbl.t;  (* module name -> file (scanned?) *)
-}
-
-(* Resolve a qualified head [Q.f] to a scanned function, through the
-   file's module aliases. *)
-let resolve_qualified prog fi q f =
-  let target =
-    match Hashtbl.find_opt fi.fi_aliases q with Some t -> t | None -> q
-  in
-  Hashtbl.find_opt prog.table (target, f)
+(* [prog], the whole-program view both passes use, maps (module,
+   function) to its fn.  A qualified head [Q.f] is looked up through
+   the file's module aliases. *)
+let resolve_qualified prog fi q f = Hashtbl.find_opt prog (resolve fi q, f)
 
 (* Effective level seen by callers: noraise pins it to No. *)
 let effective fn = if fn.fn_noraise then No else fn.fn_level
@@ -459,7 +315,7 @@ let classify_head prog fi sc (head : Parsetree.expression) =
         match List.assoc_opt name sc.sc_lambdas with
         | Some _ -> (No, "")  (* handled by the caller via lambda levels *)
         | None -> (
-            match Hashtbl.find_opt prog.table (fi.fi_module, name) with
+            match Hashtbl.find_opt prog (fi.modname, name) with
             | Some fn ->
                 ( effective fn,
                   Printf.sprintf "'%s' (may raise, per the fixpoint)" name )
@@ -519,7 +375,7 @@ let rec level_of prog fi sc (e : Parsetree.expression) : level =
                 match List.assoc_opt x sc.sc_lambdas with
                 | Some body -> lambda_level prog fi (scope_without x sc) body
                 | None -> (
-                    match Hashtbl.find_opt prog.table (fi.fi_module, x) with
+                    match Hashtbl.find_opt prog (fi.modname, x) with
                     | Some fn when not (StringSet.mem x sc.sc_opaque) ->
                         effective fn
                     | Some _ | None -> No))
@@ -606,23 +462,14 @@ and lambda_level prog fi sc (e : Parsetree.expression) =
 
 (* Iterate the per-function level to a fixpoint (monotone over a
    3-level lattice: terminates). *)
-let compute_fixpoint prog (files : file_info list) fns_by_file =
-  let changed = ref true in
-  while !changed do
-    changed := false;
-    List.iter
-      (fun fi ->
-        List.iter
-          (fun fn ->
-            let sc = scope_add_opaque fn.fn_params scope_empty in
-            let l = level_of prog fi sc fn.fn_body in
-            if l <> fn.fn_level then begin
-              fn.fn_level <- l;
-              changed := true
-            end)
-          (fns_by_file fi))
-      files
-  done
+let compute_fixpoint prog fns_with_file =
+  fixpoint
+    (fun (fi, fn) ->
+      let l = level_of prog fi (scope_add_opaque fn.fn_params scope_empty) fn.fn_body in
+      let changed = l <> fn.fn_level in
+      fn.fn_level <- l;
+      changed)
+    fns_with_file
 
 (* ------------------------------------------------------------------ *)
 (* Pass 2: resource regions                                           *)
@@ -735,7 +582,7 @@ let check_file prog fi fns =
     if not (Hashtbl.mem seen key) then begin
       Hashtbl.add seen key ();
       findings :=
-        { Report.file = fi.fi_path; line; cstart; cend; rule = kind_id kind; msg }
+        { Report.file = fi.path; line; cstart; cend; rule = kind_id kind; msg }
         :: !findings
     end
   in
@@ -743,7 +590,7 @@ let check_file prog fi fns =
   let transfers_at line =
     List.filter_map
       (function Transfers r -> Some r | _ -> None)
-      (anns_at fi.fi_anns line)
+      (anns_at fi.anns line)
   in
   (* Does [e] syntactically release resource [name] anywhere inside?
      Used to resolve a [Fun.protect] finalizer's release set. *)
@@ -1132,7 +979,7 @@ let check_file prog fi fns =
                   match (peel head).pexp_desc with
                   | Pexp_ident { txt = Lident name; _ }
                     when not (StringSet.mem name env.scope.sc_opaque) ->
-                      Hashtbl.find_opt prog.table (fi.fi_module, name)
+                      Hashtbl.find_opt prog (fi.modname, name)
                   | Pexp_ident { txt; _ } -> (
                       match qualifier txt with
                       | Some q -> resolve_qualified prog fi q (last_of txt)
@@ -1223,50 +1070,24 @@ let noraise_findings fns =
     fns
 
 (* ------------------------------------------------------------------ *)
-(* Driver                                                             *)
+(* Driver (loader, output and exit contract live in Xks_report)       *)
 
 let () =
-  let json, roots = Report.parse_argv ~tool Sys.argv in
-  let files = List.concat_map (fun r -> List.rev (Report.walk_dir r [])) roots in
-  let infos =
-    List.map
-      (fun path ->
-        let src = Report.read_file path in
-        let structure = Report.parse_implementation ~tool path src in
-        {
-          fi_path = path;
-          fi_module = module_of_path path;
-          fi_anns = scan_annotations path src;
-          fi_aliases = aliases_of_structure structure;
-          fi_structure = structure;
-        })
-      files
-  in
-  let prog = { table = Hashtbl.create 256; modules = Hashtbl.create 64 } in
-  let fns_by_file_tbl : (string, fn list) Hashtbl.t = Hashtbl.create 64 in
-  List.iter
-    (fun fi ->
-      Hashtbl.replace prog.modules fi.fi_module fi.fi_path;
-      let fns = functions_of_file fi in
-      Hashtbl.replace fns_by_file_tbl fi.fi_path fns;
+  run ~tool ~verbs (fun _ infos ->
+      let prog = Hashtbl.create 256 in
+      let by_file = List.map (fun fi -> (fi, functions_of_file fi)) infos in
       List.iter
-        (fun fn ->
-          (* first definition wins on duplicate names within a module
-             (shadowing); later files never collide — module names are
-             unique per scan *)
-          if not (Hashtbl.mem prog.table (fn.fn_module, fn.fn_name)) then
-            Hashtbl.replace prog.table (fn.fn_module, fn.fn_name) fn)
-        (List.rev fns))
-    infos;
-  let fns_by_file fi =
-    match Hashtbl.find_opt fns_by_file_tbl fi.fi_path with
-    | Some fns -> fns
-    | None -> []
-  in
-  compute_fixpoint prog infos fns_by_file;
-  let all_fns = List.concat_map fns_by_file infos in
-  let findings =
-    noraise_findings all_fns
-    @ List.concat_map (fun fi -> check_file prog fi (fns_by_file fi)) infos
-  in
-  Report.report ~tool ~json ~files_scanned:(List.length files) findings
+        (fun (_, fns) ->
+          List.iter
+            (fun fn ->
+              (* first definition wins on duplicate names within a module
+                 (shadowing); later files never collide — module names
+                 are unique per scan *)
+              if not (Hashtbl.mem prog (fn.fn_module, fn.fn_name)) then
+                Hashtbl.replace prog (fn.fn_module, fn.fn_name) fn)
+            (List.rev fns))
+        by_file;
+      compute_fixpoint prog
+        (List.concat_map (fun (fi, fns) -> List.map (fun fn -> (fi, fn)) fns) by_file);
+      noraise_findings (List.concat_map snd by_file)
+      @ List.concat_map (fun (fi, fns) -> check_file prog fi fns) by_file)

@@ -48,12 +48,13 @@
    anchors to line 1, characters 0-0).  Output, the [--json] schema
    ({tool, files_scanned, findings: [{file, line, cstart, cend, rule,
    message}]}) and the exit contract (0 clean, 1 findings, 2 usage or
-   parse errors) are the shared analyzer layer, [Xks_report.Report] —
-   one contract for xkslint, xksrace and xksleak.  A finding is
-   suppressed by the comment [(* xkslint: allow <rule> *)] on the same
-   line or the line directly above. *)
+   parse errors) are [Xks_report.Report], one contract for all four
+   analyzers; the loader and annotation lexer are [Xks_report.Program].
+   A finding is suppressed by the comment [(* xkslint: allow <rule> *)]
+   on the same line or the line directly above; an unknown rule id
+   there is rejected (exit 2). *)
 
-module StringSet = Set.Make (String)
+open Xks_report.Program
 module Report = Xks_report.Report
 
 let tool = "xkslint"
@@ -73,6 +74,17 @@ let rule_id = function
   | Stdout_print -> "stdout-print"
   | Missing_mli -> "missing-mli"
   | Module_state -> "module-state"
+
+(* The one annotation: [(* xkslint: allow <rule> [reason] *)]
+   suppresses <rule> findings on its line and the line below; an
+   unknown rule id is rejected like an unknown verb. *)
+let verbs =
+  let ids =
+    List.map rule_id
+      [ Poly_compare; Partial_call; Catch_all; Stdout_print; Missing_mli;
+        Module_state ]
+  in
+  [ ("allow", Word, fun r -> if List.mem r ids then Some r else None) ]
 
 (* ------------------------------------------------------------------ *)
 (* Configuration                                                      *)
@@ -151,59 +163,7 @@ let area_of_path path =
   else Other_area
 
 (* ------------------------------------------------------------------ *)
-(* Allowlist comments                                                 *)
-
-let allow_marker = "xkslint: allow "
-
-(* Line numbers (1-based) carrying an [xkslint: allow <rule>] comment,
-   mapped to the allowed rule ids. *)
-let scan_allows src =
-  let allows = Hashtbl.create 8 in
-  let add_allow line rule =
-    let prev =
-      match Hashtbl.find_opt allows line with
-      | Some s -> s
-      | None -> StringSet.empty
-    in
-    Hashtbl.replace allows line (StringSet.add rule prev)
-  in
-  let lines = String.split_on_char '\n' src in
-  List.iteri
-    (fun i text ->
-      let mlen = String.length allow_marker in
-      let tlen = String.length text in
-      let rec find from =
-        if from + mlen > tlen then ()
-        else if String.equal (String.sub text from mlen) allow_marker then begin
-          let stop = ref (from + mlen) in
-          let word_char c =
-            (c >= 'a' && c <= 'z') || (c >= '0' && c <= '9') || Char.equal c '-'
-          in
-          while !stop < tlen && word_char text.[!stop] do
-            incr stop
-          done;
-          add_allow (i + 1) (String.sub text (from + mlen) (!stop - (from + mlen)));
-          find !stop
-        end
-        else find (from + 1)
-      in
-      find 0)
-    lines;
-  allows
-
-let allowed allows line rule =
-  let at l =
-    match Hashtbl.find_opt allows l with
-    | Some s -> StringSet.mem (rule_id rule) s
-    | None -> false
-  in
-  at line || at (line - 1)
-
-(* ------------------------------------------------------------------ *)
 (* Per-file AST checks                                                *)
-
-let line_of = Report.line_of
-let cols_of = Report.cols_of
 
 (* Names let-bound anywhere in the file: a module that defines its own
    [compare]/[min]/[max] may use them bare. *)
@@ -237,13 +197,12 @@ let rec pattern_is_catch_all (p : Parsetree.pattern) =
   | Ppat_or (a, b) -> pattern_is_catch_all a || pattern_is_catch_all b
   | _ -> false
 
-let check_file path =
+let check_file fi =
+  let path = fi.path in
   let findings = ref [] in
-  let src = Report.read_file path in
-  let allows = scan_allows src in
   let area = area_of_path path in
   let emit ~line ~cols:(cstart, cend) rule msg =
-    if not (allowed allows line rule) then
+    if not (List.mem (rule_id rule) (anns_at fi.anns line)) then
       findings :=
         { Report.file = path; line; cstart; cend; rule = rule_id rule; msg }
         :: !findings
@@ -261,7 +220,7 @@ let check_file path =
              (Filename.basename path)
              (Filename.basename path))
   | Bin | Bench | Test | Other_area -> ());
-  let structure = Report.parse_implementation ~tool path src in
+  let structure = fi.structure in
   (* R6: mutable state created at module level in library code.  A
      dedicated iterator that never descends into function bodies —
      state allocated per call is fine; state allocated when the module
@@ -394,10 +353,6 @@ let check_file path =
   !findings
 
 (* ------------------------------------------------------------------ *)
-(* Driver (walk, output and exit contract live in Report)             *)
+(* Driver (loader, output and exit contract live in Xks_report)       *)
 
-let () =
-  let json, roots = Report.parse_argv ~tool Sys.argv in
-  let files = List.concat_map (fun r -> List.rev (Report.walk_dir r [])) roots in
-  let findings = List.concat_map check_file files in
-  Report.report ~tool ~json ~files_scanned:(List.length files) findings
+let () = run ~tool ~verbs (fun _ files -> List.concat_map check_file files)

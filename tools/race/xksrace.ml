@@ -80,10 +80,11 @@
    locks are matched by name, not aliasing; cross-module call
    propagation into domain closures stops at module boundaries; arrays
    are exempt; a closure built under a lock is assumed not to outlive
-   it.  Output, the [--json] schema and the 0/1/2 exit contract are
-   the shared analyzer layer ([Xks_report.Report]). *)
+   it.  The loader, annotation lexer, names and fixpoint are the shared
+   [Xks_report.Program]; output, the [--json] schema and the 0/1/2 exit
+   contract are [Xks_report.Report]. *)
 
-module StringSet = Set.Make (String)
+open Xks_report.Program
 module Report = Xks_report.Report
 
 let tool = "xksrace"
@@ -129,107 +130,23 @@ let sync_ctors =
 
 type ann =
   | Guarded_by of string
-  | Domain_safe of string
+  | Domain_safe
   | Requires of string
   | Locks of string
 
-(* The full comment-opening form: a looser match (say, on "xksrace: "
-   alone) would fire on prose that merely mentions the tool. *)
-let ann_marker = "(* xksrace: "
-
-(* Line number (1-based) -> annotations written on that line. *)
-let scan_annotations path src =
-  let anns : (int, ann list) Hashtbl.t = Hashtbl.create 16 in
-  let add line a =
-    let prev = match Hashtbl.find_opt anns line with Some l -> l | None -> [] in
-    Hashtbl.replace anns line (a :: prev)
-  in
-  let lines = String.split_on_char '\n' src in
-  List.iteri
-    (fun i text ->
-      match
-        let mlen = String.length ann_marker in
-        let tlen = String.length text in
-        let rec find from =
-          if from + mlen > tlen then None
-          else if String.equal (String.sub text from mlen) ann_marker then
-            Some (from + mlen)
-          else find (from + 1)
-        in
-        find 0
-      with
-      | None -> ()
-      | Some start ->
-          let stop =
-            let rec close j =
-              if j + 2 > String.length text then String.length text
-              else if String.equal (String.sub text j 2) "*)" then j
-              else close (j + 1)
-            in
-            close start
-          in
-          let body = String.trim (String.sub text start (stop - start)) in
-          let keyword, arg =
-            match String.index_opt body ' ' with
-            | None -> (body, "")
-            | Some sp ->
-                ( String.sub body 0 sp,
-                  String.trim
-                    (String.sub body (sp + 1) (String.length body - sp - 1)) )
-          in
-          let first_word s =
-            match String.index_opt s ' ' with
-            | None -> s
-            | Some sp -> String.sub s 0 sp
-          in
-          let line = i + 1 in
-          (match keyword with
-          | "guarded_by" when arg <> "" -> add line (Guarded_by (first_word arg))
-          | "domain_safe" -> add line (Domain_safe arg)
-          | "requires_lock" when arg <> "" -> add line (Requires (first_word arg))
-          | "locks" when arg <> "" -> add line (Locks (first_word arg))
-          | _ ->
-              Printf.eprintf
-                "xksrace: %s: line %d: unrecognized annotation %S\n" path line
-                body;
-              exit 2))
-    lines;
-  anns
-
-(* Annotations attached to a declaration at [line]: same line or the
-   line directly above. *)
-let anns_at anns line =
-  let at l = match Hashtbl.find_opt anns l with Some l -> l | None -> [] in
-  at line @ at (line - 1)
+let verbs =
+  [ ("guarded_by", Word, fun m -> Some (Guarded_by m));
+    ("domain_safe", Opt_text, fun _ -> Some Domain_safe);
+    ("requires_lock", Word, fun m -> Some (Requires m));
+    ("locks", Word, fun m -> Some (Locks m)) ]
 
 let binding_ann anns line =
   List.find_map
-    (function (Guarded_by _ | Domain_safe _) as a -> Some a | _ -> None)
+    (function (Guarded_by _ | Domain_safe) as a -> Some a | _ -> None)
     (anns_at anns line)
 
 let suppressed anns line =
-  List.exists (function Domain_safe _ -> true | _ -> false) (anns_at anns line)
-
-(* ------------------------------------------------------------------ *)
-(* Locations                                                          *)
-
-let line_of = Report.line_of
-let cols_of = Report.cols_of
-
-let last_of (lid : Longident.t) =
-  match Longident.flatten lid with
-  | [] -> ""
-  | l -> List.nth l (List.length l - 1)
-
-(* Module component directly qualifying a name: [Xks_util.Int_vec.t]
-   -> Some "Int_vec", [Hashtbl.t] -> Some "Hashtbl", [t] -> None. *)
-let qualifier (lid : Longident.t) =
-  match lid with
-  | Longident.Ldot (path, _) -> (
-      match Longident.flatten path with
-      | [] -> None
-      | l -> Some (List.nth l (List.length l - 1)))
-  | Longident.Lident _ | Longident.Lapply _ -> None
+  List.exists (function Domain_safe -> true | _ -> false) (anns_at anns line)
 
 (* ------------------------------------------------------------------ *)
 (* Pass 1: inventory                                                  *)
@@ -280,17 +197,7 @@ let scan_core_type ct =
   go ct;
   (!containers, !refs)
 
-let module_of_path path =
-  String.capitalize_ascii (Filename.remove_extension (Filename.basename path))
-
-type file_info = {
-  fi_path : string;
-  fi_anns : (int, ann list) Hashtbl.t;
-  fi_structure : Parsetree.structure;
-}
-
 let fields_of_file fi =
-  let mname = module_of_path fi.fi_path in
   let out = ref [] in
   let add_field ty name (loc : Location.t) is_mutable core_types =
     let containers, refs =
@@ -303,8 +210,8 @@ let fields_of_file fi =
     let cstart, cend = cols_of loc in
     out :=
       {
-        fl_file = fi.fi_path;
-        fl_module = mname;
+        fl_file = fi.path;
+        fl_module = fi.modname;
         fl_ty = ty;
         fl_name = name;
         fl_line = line_of loc;
@@ -313,7 +220,7 @@ let fields_of_file fi =
         fl_mutable = is_mutable;
         fl_container = (match containers with [] -> None | c :: _ -> Some c);
         fl_refs = refs;
-        fl_ann = binding_ann fi.fi_anns (line_of loc);
+        fl_ann = binding_ann fi.anns (line_of loc);
       }
       :: !out
   in
@@ -348,21 +255,10 @@ let fields_of_file fi =
     | Some ct -> add_field ty ty td.ptype_loc false [ ct ]
     | None -> ()
   in
-  let rec item (si : Parsetree.structure_item) =
-    match si.pstr_desc with
-    | Pstr_type (_, tds) -> List.iter type_decl tds
-    | Pstr_module { pmb_expr = { pmod_desc = Pmod_structure s; _ }; _ } ->
-        List.iter item s
-    | _ -> ()
-  in
-  List.iter item fi.fi_structure;
+  iter_items
+    (function Pstr_type (_, tds) -> List.iter type_decl tds | _ -> ())
+    fi.structure;
   !out
-
-(* Peel syntactic wrappers off a binding's right-hand side. *)
-let rec peel (e : Parsetree.expression) =
-  match e.pexp_desc with
-  | Pexp_constraint (e, _) | Pexp_coerce (e, _, _) | Pexp_open (_, e) -> peel e
-  | _ -> e
 
 let state_ctor_of (e : Parsetree.expression) =
   match (peel e).pexp_desc with
@@ -389,24 +285,19 @@ let toplevels_of_file fi =
     | Ppat_var { txt; _ }, Some (what, sync) ->
         out :=
           {
-            ts_file = fi.fi_path;
+            ts_file = fi.path;
             ts_name = txt;
             ts_line = line_of vb.pvb_loc;
             ts_what = what;
             ts_sync = sync;
-            ts_ann = binding_ann fi.fi_anns (line_of vb.pvb_loc);
+            ts_ann = binding_ann fi.anns (line_of vb.pvb_loc);
           }
           :: !out
     | _ -> ()
   in
-  let rec item (si : Parsetree.structure_item) =
-    match si.pstr_desc with
-    | Pstr_value (_, vbs) -> List.iter binding vbs
-    | Pstr_module { pmb_expr = { pmod_desc = Pmod_structure s; _ }; _ } ->
-        List.iter item s
-    | _ -> ()
-  in
-  List.iter item fi.fi_structure;
+  iter_items
+    (function Pstr_value (_, vbs) -> List.iter binding vbs | _ -> ())
+    fi.structure;
   !out
 
 (* Fixpoint: (Module, type) is unsafe when its declaration carries an
@@ -424,33 +315,17 @@ let compute_unsafe fields =
        || f.fl_container <> None
        || List.exists is_unsafe f.fl_refs)
   in
-  let changed = ref true in
-  while !changed do
-    changed := false;
-    List.iter
-      (fun f ->
-        if fld_unsafe f then begin
-          let key = (f.fl_module, f.fl_ty) in
-          if not (is_unsafe key) then begin
-            Hashtbl.replace unsafe key true;
-            changed := true
-          end
-        end)
-      fields
-  done;
+  fixpoint
+    (fun f ->
+      let key = (f.fl_module, f.fl_ty) in
+      let grows = fld_unsafe f && not (is_unsafe key) in
+      if grows then Hashtbl.replace unsafe key true;
+      grows)
+    fields;
   is_unsafe
 
 (* ------------------------------------------------------------------ *)
 (* Pass 2: enforcement                                                *)
-
-(* The last name on an access path, used to identify mutexes:
-   [s.mutex] and [done_mutex] -> "mutex" / "done_mutex". *)
-let rec path_name (e : Parsetree.expression) =
-  match e.pexp_desc with
-  | Pexp_ident { txt; _ } -> last_of txt
-  | Pexp_field (_, { txt; _ }) -> last_of txt
-  | Pexp_constraint (e, _) -> path_name e
-  | _ -> "?"
 
 let mutex_call (e : Parsetree.expression) =
   match e.pexp_desc with
@@ -460,24 +335,6 @@ let mutex_call (e : Parsetree.expression) =
     when String.equal f "lock" || String.equal f "unlock" ->
       Some (f, path_name m)
   | _ -> None
-
-(* Bare idents mentioned in an expression (for spawn-argument
-   propagation through same-file bindings). *)
-let idents_of expr =
-  let acc = ref StringSet.empty in
-  let it =
-    {
-      Ast_iterator.default_iterator with
-      expr =
-        (fun it e ->
-          (match e.Parsetree.pexp_desc with
-          | Pexp_ident { txt = Lident x; _ } -> acc := StringSet.add x !acc
-          | _ -> ());
-          Ast_iterator.default_iterator.expr it e);
-    }
-  in
-  it.expr it expr;
-  !acc
 
 (* Closure arguments of a spawn point, or [None].  [Domain.spawn f]
    runs [f] on a new domain; [Pool.submit]/[Pool.run_all] hand their
@@ -523,10 +380,10 @@ let check_file ~fields_by_name ~toplevels ~interesting fi =
     let line = line_of loc in
     let cstart, cend = cols_of loc in
     let key = (line, cstart, kind_id kind) in
-    if (not (suppressed fi.fi_anns line)) && not (Hashtbl.mem seen key) then begin
+    if (not (suppressed fi.anns line)) && not (Hashtbl.mem seen key) then begin
       Hashtbl.add seen key ();
       findings :=
-        { Report.file = fi.fi_path; line; cstart; cend; rule = kind_id kind; msg }
+        { Report.file = fi.path; line; cstart; cend; rule = kind_id kind; msg }
         :: !findings
     end
   in
@@ -537,7 +394,7 @@ let check_file ~fields_by_name ~toplevels ~interesting fi =
   let local_state : (string, bool * ann option) Hashtbl.t = Hashtbl.create 16 in
   List.iter
     (fun ts ->
-      if String.equal ts.ts_file fi.fi_path && not ts.ts_sync then
+      if String.equal ts.ts_file fi.path && not ts.ts_sync then
         Hashtbl.replace local_state ts.ts_name (false, ts.ts_ann))
     toplevels;
   (* Domain-reachability seeds: names mentioned in spawn-point closure
@@ -558,7 +415,7 @@ let check_file ~fields_by_name ~toplevels ~interesting fi =
           Ast_iterator.default_iterator.value_binding it vb);
     }
   in
-  pre.structure pre fi.fi_structure;
+  pre.structure pre fi.structure;
   let seed_it =
     {
       Ast_iterator.default_iterator with
@@ -576,7 +433,7 @@ let check_file ~fields_by_name ~toplevels ~interesting fi =
           Ast_iterator.default_iterator.expr it e);
     }
   in
-  seed_it.structure seed_it fi.fi_structure;
+  seed_it.structure seed_it fi.structure;
   let marked = ref StringSet.empty in
   let rec propagate name =
     if (not (StringSet.mem name !marked)) && Hashtbl.mem bindings name then begin
@@ -592,7 +449,7 @@ let check_file ~fields_by_name ~toplevels ~interesting fi =
     | None -> None
     | Some candidates -> (
         match
-          List.filter (fun f -> String.equal f.fl_file fi.fi_path) candidates
+          List.filter (fun f -> String.equal f.fl_file fi.path) candidates
         with
         | [ f ] -> Some f
         | _ :: _ -> None
@@ -605,7 +462,7 @@ let check_file ~fields_by_name ~toplevels ~interesting fi =
     | Some f when not (interesting f) -> ()
     | Some f -> (
         match f.fl_ann with
-        | Some (Domain_safe _) -> ()
+        | Some Domain_safe -> ()
         | Some (Guarded_by m) ->
             if not (StringSet.mem m env.held) then
               emit lid.loc Unlocked_access
@@ -629,7 +486,7 @@ let check_file ~fields_by_name ~toplevels ~interesting fi =
   let check_ident env name (loc : Location.t) =
     match Hashtbl.find_opt local_state name with
     | None -> ()
-    | Some (_, Some (Domain_safe _)) -> ()
+    | Some (_, Some Domain_safe) -> ()
     | Some (_, Some (Guarded_by m)) ->
         if not (StringSet.mem m env.held) then
           emit loc Unlocked_access
@@ -779,8 +636,8 @@ let check_file ~fields_by_name ~toplevels ~interesting fi =
           (function
             | Requires m -> Hashtbl.replace requires_fns txt m
             | Locks m -> Hashtbl.replace locks_fns txt m
-            | Guarded_by _ | Domain_safe _ -> ())
-          (anns_at fi.fi_anns (line_of vb.pvb_loc))
+            | Guarded_by _ | Domain_safe -> ())
+          (anns_at fi.anns (line_of vb.pvb_loc))
     | _ -> ()
   and walk_binding env (vb : Parsetree.value_binding) =
     let env =
@@ -790,7 +647,7 @@ let check_file ~fields_by_name ~toplevels ~interesting fi =
           | Some (_, true) -> ()
           | Some (_, false) ->
               Hashtbl.replace local_state txt
-                (env.in_domain, binding_ann fi.fi_anns (line_of vb.pvb_loc))
+                (env.in_domain, binding_ann fi.anns (line_of vb.pvb_loc))
           | None -> ());
           let env =
             if StringSet.mem txt !marked then { env with in_domain = true }
@@ -806,17 +663,14 @@ let check_file ~fields_by_name ~toplevels ~interesting fi =
   let top =
     { held = StringSet.empty; bare_held = StringSet.empty; in_domain = false }
   in
-  let rec item (si : Parsetree.structure_item) =
-    match si.pstr_desc with
-    | Pstr_value (_, vbs) ->
-        List.iter (register_binding top) vbs;
-        List.iter (walk_binding top) vbs
-    | Pstr_eval (e, _) -> walk top e
-    | Pstr_module { pmb_expr = { pmod_desc = Pmod_structure s; _ }; _ } ->
-        List.iter item s
-    | _ -> ()
-  in
-  List.iter item fi.fi_structure;
+  iter_items
+    (function
+      | Pstr_value (_, vbs) ->
+          List.iter (register_binding top) vbs;
+          List.iter (walk_binding top) vbs
+      | Pstr_eval (e, _) -> walk top e
+      | _ -> ())
+    fi.structure;
   !findings
 
 (* E4: every mutable member of a frozen-builder module carries its
@@ -864,44 +718,27 @@ let frozen_findings ~interesting fields toplevels =
   List.filter_map of_field fields @ List.filter_map of_toplevel toplevels
 
 (* ------------------------------------------------------------------ *)
-(* Driver (walk, output and exit contract live in Report)             *)
-
-let parse_file path =
-  let src = Report.read_file path in
-  {
-    fi_path = path;
-    fi_anns = scan_annotations path src;
-    fi_structure = Report.parse_implementation ~tool path src;
-  }
+(* Driver (loader, output and exit contract live in Xks_report)       *)
 
 let () =
-  let json, roots = Report.parse_argv ~tool Sys.argv in
-  let files = List.concat_map (fun r -> List.rev (Report.walk_dir r [])) roots in
-  let infos = List.map parse_file files in
-  let fields = List.concat_map fields_of_file infos in
-  let toplevels = List.concat_map toplevels_of_file infos in
-  let unsafe = compute_unsafe fields in
-  let interesting f =
-    f.fl_mutable
-    || f.fl_container <> None
-    || List.exists unsafe f.fl_refs
-    || (match f.fl_ann with Some (Guarded_by _) -> true | _ -> false)
-  in
-  let fields_by_name : (string, fld list) Hashtbl.t = Hashtbl.create 64 in
-  List.iter
-    (fun f ->
-      if interesting f then
-        let prev =
-          match Hashtbl.find_opt fields_by_name f.fl_name with
-          | Some l -> l
-          | None -> []
-        in
-        Hashtbl.replace fields_by_name f.fl_name (f :: prev))
-    fields;
-  let findings =
-    frozen_findings ~interesting fields toplevels
-    @ List.concat_map
-        (fun fi -> check_file ~fields_by_name ~toplevels ~interesting fi)
-        infos
-  in
-  Report.report ~tool ~json ~files_scanned:(List.length files) findings
+  run ~tool ~verbs (fun _ infos ->
+      let fields = List.concat_map fields_of_file infos in
+      let toplevels = List.concat_map toplevels_of_file infos in
+      let unsafe = compute_unsafe fields in
+      let interesting f =
+        f.fl_mutable
+        || f.fl_container <> None
+        || List.exists unsafe f.fl_refs
+        || (match f.fl_ann with Some (Guarded_by _) -> true | _ -> false)
+      in
+      let fields_by_name : (string, fld list) Hashtbl.t = Hashtbl.create 64 in
+      List.iter
+        (fun f ->
+          if interesting f then
+            let prev =
+              Option.value (Hashtbl.find_opt fields_by_name f.fl_name) ~default:[]
+            in
+            Hashtbl.replace fields_by_name f.fl_name (f :: prev))
+        fields;
+      frozen_findings ~interesting fields toplevels
+      @ List.concat_map (check_file ~fields_by_name ~toplevels ~interesting) infos)
