@@ -77,12 +77,7 @@ let bm25_scored (result : Pipeline.result) =
         { Ranking.fragment; rtf; score = Rank.score_rtf w result.query rtf })
       result.rtfs result.fragments
   in
-  (* xkscost: unticked pre-charged: sorts the already-materialised scored list, |rtfs| bounded by the ticked LCA sweep *)
-  List.sort
-    (fun (a : Ranking.scored) b ->
-      let c = Float.compare b.score a.score in
-      if c <> 0 then c else Int.compare a.rtf.lca b.rtf.lca)
-    scored
+  Ranking.sort_scored scored
 
 (* Full enumeration already holds the LCA list: its minimal elements are
    the SLCAs, whether it is the ELCA set (every SLCA is an ELCA, and an
@@ -106,10 +101,8 @@ let hits_of_result ~rank ?k (result : Pipeline.result) =
         match rank with
         | `Heuristic -> Ranking.rank result
         | `Bm25 -> bm25_scored result
-        | `Doc ->
-            List.sort
-              (fun (a : Ranking.scored) b -> Int.compare a.rtf.lca b.rtf.lca)
-              (Ranking.rank result))
+        (* RTFs come in document order of their LCA already. *)
+        | `Doc -> Ranking.score_all result)
   in
   (* xkscost: unticked pre-charged: tags hits of the already-budgeted pipeline result, one binary search each *)
   List.map hit (truncate k scored)

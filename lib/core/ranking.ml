@@ -25,10 +25,11 @@ let sort_scored scored =
       if c <> 0 then c else Int.compare a.rtf.lca b.rtf.lca)
     scored
 
-let rank (result : Pipeline.result) =
+let score_all (result : Pipeline.result) =
   (* xkscost: unticked pre-charged: one scoring pass over the already-budgeted pipeline result, |rtfs| bounded by the ticked LCA sweep *)
   List.map2
     (fun rtf fragment ->
       { fragment; rtf; score = score result.query rtf fragment })
     result.rtfs result.fragments
-  |> sort_scored
+
+let rank result = sort_scored (score_all result)

@@ -14,6 +14,13 @@ type scored = { fragment : Fragment.t; rtf : Rtf.t; score : float }
 val score : Query.t -> Rtf.t -> Fragment.t -> float
 (** Deterministic score in [(0, +inf)]; higher is better. *)
 
+val sort_scored : scored list -> scored list
+(** Decreasing score; ties broken by document order of the fragment
+    root (ascending LCA id). *)
+
+val score_all : Pipeline.result -> scored list
+(** Every fragment of a result with its score, in the result's
+    (document) order. *)
+
 val rank : Pipeline.result -> scored list
-(** Fragments of a result, sorted by decreasing score; ties broken by
-    document order of the fragment root. *)
+(** [sort_scored (score_all result)]. *)
