@@ -88,7 +88,8 @@ let prop_mct_within_rtf_at_slca =
           ||
           match
             List.find_opt
-              (fun (rtf : Xks_core.Rtf.t) -> rtf.Xks_core.Rtf.lca = r.Gdmct.root)
+              (fun (rtf : Xks_core.Rtf.t) ->
+                rtf.Xks_core.Rtf.lca = r.Gdmct.root)
               rtfs
           with
           | None -> false (* every SLCA is an ELCA, so it has an RTF *)

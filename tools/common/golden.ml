@@ -25,9 +25,10 @@
    Every fixture directory must have a pinned .out or .err — an
    unpinned fixture is an error, not a silent skip.  Generated outputs
    are left next to the runner as <name>.out.gen / <name>.json.gen /
-   <name>.err.gen.err for inspection; `--update` rewrites the pinned files from the actual
-   output instead of diffing (run it via `dune exec` from the tool's
-   source directory when a rule legitimately changes).
+   <name>.err.gen.err for inspection; `--update` rewrites the pinned
+   files from the actual output instead of diffing (run it via `dune
+   exec` from the tool's source directory when a rule legitimately
+   changes).
 
    Exit: 0 all fixtures match, 1 any mismatch, 2 usage error. *)
 
@@ -201,7 +202,8 @@ let () =
            Sys.is_directory (Filename.concat cfg.fixtures f)
            && not (List.mem f outs || List.mem f errs)
          then begin
-           Printf.eprintf "golden: fixture %s/%s has no pinned %s/%s.out or .err\n"
+           Printf.eprintf
+             "golden: fixture %s/%s has no pinned %s/%s.out or .err\n"
              cfg.fixtures f cfg.expected f;
            exit 1
          end);

@@ -75,7 +75,8 @@ let split_word s =
   match String.index_opt s ' ' with
   | None -> (s, "")
   | Some sp ->
-      (String.sub s 0 sp, String.trim (String.sub s (sp + 1) (String.length s - sp - 1)))
+      ( String.sub s 0 sp,
+        String.trim (String.sub s (sp + 1) (String.length s - sp - 1)) )
 
 let find_from text from pat =
   let plen = String.length pat and tlen = String.length text in
@@ -98,14 +99,17 @@ let scan_annotations ~tool ~verbs path src : _ anns =
       | Some at ->
           let start = at + String.length marker in
           let stop =
-            Option.value (find_from text start "*)") ~default:(String.length text)
+            Option.value (find_from text start "*)")
+              ~default:(String.length text)
           in
           let body = String.trim (String.sub text start (stop - start)) in
           let verb, arg = split_word body in
           let word, reason = split_word arg in
           let line = i + 1 in
           let ann =
-            match List.find_opt (fun (v, _, _) -> String.equal v verb) verbs with
+            match
+              List.find_opt (fun (v, _, _) -> String.equal v verb) verbs
+            with
             | Some (_, shape, build)
               when (match shape with
                    | Bare -> arg = ""
@@ -117,11 +121,13 @@ let scan_annotations ~tool ~verbs path src : _ anns =
           in
           match ann with
           | Some a ->
-              let prev = Option.value (Hashtbl.find_opt anns line) ~default:[] in
+              let prev =
+                Option.value (Hashtbl.find_opt anns line) ~default:[]
+              in
               Hashtbl.replace anns line (a :: prev)
           | None ->
-              Printf.eprintf "%s: %s: line %d: unrecognized annotation %S\n" tool
-                path line body;
+              Printf.eprintf "%s: %s: line %d: unrecognized annotation %S\n"
+                tool path line body;
               exit 2)
     (String.split_on_char '\n' src);
   anns

@@ -20,9 +20,6 @@ val qualifier : Longident.t -> string option
 (** Module component directly qualifying a name: [Xks_util.Int_vec.t]
     -> [Some "Int_vec"], [t] -> [None]. *)
 
-val module_of_path : string -> string
-(** Module name of a source file: ["lib/core/rtf.ml"] -> ["Rtf"]. *)
-
 val peel : Parsetree.expression -> Parsetree.expression
 (** Strip type constraints, coercions and local opens. *)
 
@@ -65,7 +62,7 @@ val iter_items :
 
 type 'a file = {
   path : string;
-  modname : string;  (** {!module_of_path} of [path] *)
+  modname : string;  (** ["lib/core/rtf.ml"] -> ["Rtf"] *)
   anns : 'a anns;
   aliases : (string, string) Hashtbl.t;
       (** [module X = A.B] at any depth: ["X"] -> ["B"] *)

@@ -147,7 +147,8 @@ let verbs =
   [ ("hot", Bare, fun _ -> Some Hot);
     ("tight", Bare, fun _ -> Some Tight);
     (* the reason is the point of the escape hatch: it is required *)
-    ("allow", Word_reason, fun r -> if List.mem r all_rules then Some (Allow r) else None);
+    ("allow", Word_reason,
+     fun r -> if List.mem r all_rules then Some (Allow r) else None);
     ("unticked", Word, fun _ -> Some Unticked) ]
 
 let has_ann anns line p = List.exists p (anns_at anns line)
@@ -303,7 +304,8 @@ let mentions_ticking g (m : mentions) ~in_module =
        (fun u -> Hashtbl.mem g.ticking (key_of in_module u))
        m.m_unqual
 
-let vocab_of g k = Option.value (Hashtbl.find_opt g.vocab k) ~default:StringSet.empty
+let vocab_of g k =
+  Option.value (Hashtbl.find_opt g.vocab k) ~default:StringSet.empty
 
 (* [base] plus the stems of every same-module callee [m] mentions. *)
 let region_vocab g ~in_module (m : mentions) base =
@@ -365,7 +367,8 @@ let build_graph infos =
     (fun n ->
       let k = nd_key n in
       Hashtbl.replace g.vocab k
-        (StringSet.union (vocab_of g k) (StringSet.of_list (stems_in n.nd_mentions.m_names))))
+        (StringSet.union (vocab_of g k)
+           (StringSet.of_list (stems_in n.nd_mentions.m_names))))
     nodes;
   fixpoint
     (fun n ->

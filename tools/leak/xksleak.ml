@@ -465,7 +465,8 @@ and lambda_level prog fi sc (e : Parsetree.expression) =
 let compute_fixpoint prog fns_with_file =
   fixpoint
     (fun (fi, fn) ->
-      let l = level_of prog fi (scope_add_opaque fn.fn_params scope_empty) fn.fn_body in
+      let sc = scope_add_opaque fn.fn_params scope_empty in
+      let l = level_of prog fi sc fn.fn_body in
       let changed = l <> fn.fn_level in
       fn.fn_level <- l;
       changed)
@@ -1088,6 +1089,8 @@ let () =
             (List.rev fns))
         by_file;
       compute_fixpoint prog
-        (List.concat_map (fun (fi, fns) -> List.map (fun fn -> (fi, fn)) fns) by_file);
+        (List.concat_map
+           (fun (fi, fns) -> List.map (fun fn -> (fi, fn)) fns)
+           by_file);
       noraise_findings (List.concat_map snd by_file)
       @ List.concat_map (fun (fi, fns) -> check_file prog fi fns) by_file)

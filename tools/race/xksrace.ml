@@ -736,9 +736,13 @@ let () =
         (fun f ->
           if interesting f then
             let prev =
-              Option.value (Hashtbl.find_opt fields_by_name f.fl_name) ~default:[]
+              Option.value
+                (Hashtbl.find_opt fields_by_name f.fl_name)
+                ~default:[]
             in
             Hashtbl.replace fields_by_name f.fl_name (f :: prev))
         fields;
       frozen_findings ~interesting fields toplevels
-      @ List.concat_map (check_file ~fields_by_name ~toplevels ~interesting) infos)
+      @ List.concat_map
+          (check_file ~fields_by_name ~toplevels ~interesting)
+          infos)
