@@ -132,15 +132,15 @@ let first_diff a b =
 let check_one cfg ~failures ~name ~suffix ~args =
   let pinned = Filename.concat cfg.expected (name ^ suffix) in
   let out_file = name ^ suffix ^ ".gen" in
-  let code, stdout, stderr = run_tool cfg ~args ~out_file in
+  let code, out, err = run_tool cfg ~args ~out_file in
   let rejects = String.equal suffix ".err" in
   if (not rejects) && code <> 0 && code <> 1 then begin
     Printf.eprintf "golden: %s exited %d (not 0/1) on: %s\n%s" cfg.tool code
-      (String.concat " " args) stderr;
+      (String.concat " " args) err;
     exit 1
   end;
   let actual, actual_file =
-    if rejects then (stderr, out_file ^ ".err") else (stdout, out_file)
+    if rejects then (err, out_file ^ ".err") else (out, out_file)
   in
   if cfg.update then begin
     if not (Sys.file_exists pinned) || read_file pinned <> actual then begin
@@ -150,12 +150,12 @@ let check_one cfg ~failures ~name ~suffix ~args =
   end
   else begin
     let want = read_file pinned in
-    if rejects && (code <> 2 || stdout <> "") then begin
+    if rejects && (code <> 2 || out <> "") then begin
       incr failures;
       Printf.eprintf
         "golden: %s: expected a rejection (exit 2, empty stdout), got exit \
          %d with %d byte(s) on stdout\n"
-        name code (String.length stdout)
+        name code (String.length out)
     end;
     if String.equal suffix ".out" && (code = 1) <> (want <> "") then begin
       incr failures;
