@@ -186,7 +186,7 @@ let read_reply fd =
       Some { status; headers; body = Buffer.contents body }
 
 (* One-shot connections ask the server to close: the admission slot is
-   released the moment the response is written, instead of when the
+   released just before the response is written, instead of when the
    server notices our close — without this, back-to-back fresh
    connections can race the slot release and count phantom 503s. *)
 let send_request ?(close = false) fd target =

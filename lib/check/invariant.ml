@@ -54,7 +54,8 @@ let doc_order doc ids =
     (fun i id ->
       if i > 0 then begin
         let prev = ids.(i - 1) in
-        let dp = (Tree.node doc prev).dewey and dc = (Tree.node doc id).dewey in
+        let dp = Tree.dewey doc (Tree.node doc prev)
+        and dc = Tree.dewey doc (Tree.node doc id) in
         if Dewey.compare dp dc >= 0 then
           out :=
             v "doc-order"
@@ -96,7 +97,7 @@ let rtf ?(require_coverage = true) (q : Query.t) (r : Rtf.t) =
               (v "rtf-containment"
                  "RTF at %d: keyword node %d (Dewey %s) outside the LCA subtree"
                  r.lca id
-                 (Dewey.to_string (Tree.node doc id).dewey));
+                 (Dewey.to_string (Tree.dewey doc (Tree.node doc id))));
           if not (is_keyword_node q id) then
             push
               (v "rtf-keyword-node"
@@ -242,14 +243,14 @@ let fragment doc (f : Fragment.t) =
             push
               (v "fragment-containment"
                  "member %d (Dewey %s) outside the subtree of root %d" id
-                 (Dewey.to_string node.dewey) f.root);
+                 (Dewey.to_string (Tree.dewey doc node)) f.root);
           if id <> f.root && not (Fragment.mem f node.parent) then
             push
               (v "fragment-connectivity"
                  "member %d (Dewey %s) is disconnected: parent %d not in \
                   the fragment"
                  id
-                 (Dewey.to_string node.dewey)
+                 (Dewey.to_string (Tree.dewey doc node))
                  node.parent)
         end)
       f.members

@@ -23,13 +23,14 @@ end)
 
 let fragment_deweys doc frag =
   List.fold_left
-    (fun acc id -> Dset.add (Tree.node doc id).dewey acc)
+    (fun acc id -> Dset.add (Tree.dewey doc (Tree.node doc id)) acc)
     Dset.empty
     (Fragment.members_list frag)
 
 let fragments_of doc result =
   List.map
-    (fun f -> ((Tree.node doc f.Fragment.root).dewey, fragment_deweys doc f))
+    (fun f ->
+      (Tree.dewey doc (Tree.node doc f.Fragment.root), fragment_deweys doc f))
     result.Pipeline.fragments
 
 let run_on run doc query =

@@ -125,6 +125,8 @@ let valid_contributor t =
 
 let contributor t = collect contributor_decisions t
 
+let dewey_string doc id = Dewey.to_string (Tree.dewey doc (Tree.node doc id))
+
 let reason_to_string doc = function
   | Kept_root -> "kept: RTF root"
   | Kept_unique_label -> "kept: unique label among its siblings (rule 1)"
@@ -132,19 +134,19 @@ let reason_to_string doc = function
   | Kept_distinct_content -> "kept: same keywords but new content (rule 2b)"
   | Discarded_covered sib ->
       Printf.sprintf "discarded: keyword set strictly covered by %s (rule 2a)"
-        (Dewey.to_string (Tree.node doc sib).dewey)
+        (dewey_string doc sib)
   | Discarded_duplicate sib ->
       Printf.sprintf "discarded: duplicates the content of %s (rule 2b)"
-        (Dewey.to_string (Tree.node doc sib).dewey)
+        (dewey_string doc sib)
   | Discarded_with_ancestor a ->
       Printf.sprintf "discarded: inside the pruned subtree of %s"
-        (Dewey.to_string (Tree.node doc a).dewey)
+        (dewey_string doc a)
 
 let render doc decisions =
   let line d =
     let node = Tree.node doc d.node in
     Printf.sprintf "%s (%s): %s"
-      (Dewey.to_string node.dewey)
+      (Dewey.to_string (Tree.dewey doc node))
       (Tree.label_name doc node)
       (reason_to_string doc d.reason)
   in

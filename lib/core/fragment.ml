@@ -31,12 +31,14 @@ let fragment_children doc t id =
   in
   List.rev (collect lo [])
 
+(* The rendered Dewey code goes down the recursion: a child's is its
+   parent's plus its child rank. *)
 let render doc t =
   let buf = Buffer.create 256 in
-  let rec go depth id =
+  let rec go depth code id =
     let node = Tree.node doc id in
     Buffer.add_string buf (String.make (2 * depth) ' ');
-    Buffer.add_string buf (Dewey.to_string node.dewey);
+    Buffer.add_string buf code;
     Buffer.add_string buf " (";
     Buffer.add_string buf (Tree.label_name doc node);
     Buffer.add_char buf ')';
@@ -46,9 +48,14 @@ let render doc t =
       Buffer.add_char buf '\''
     end;
     Buffer.add_char buf '\n';
-    List.iter (go (depth + 1)) (fragment_children doc t id)
+    List.iter
+      (fun c ->
+        go (depth + 1)
+          (code ^ "." ^ string_of_int (Tree.node doc c).child_rank)
+          c)
+      (fragment_children doc t id)
   in
-  go 0 t.root;
+  go 0 (Dewey.to_string (Tree.dewey doc (Tree.node doc t.root))) t.root;
   Buffer.contents buf
 
 let to_xml doc t =

@@ -12,7 +12,7 @@ let nearest_witness doc posting (a : Tree.node) =
   let best = ref None in
   for i = lo to hi - 1 do
     let w = Tree.node doc posting.(i) in
-    let d = Dewey.depth w.dewey in
+    let d = w.depth in
     match !best with
     | Some (_, bd) when bd <= d -> ()
     | _ -> best := Some (w, d)
@@ -35,12 +35,12 @@ let search ?(max_edges = 10) (q : Query.t) =
         else begin
           let witnesses = List.filter_map Fun.id witnesses in
           let lca =
-            Dewey.lca_list (List.map (fun (w : Tree.node) -> w.dewey) witnesses)
+            Dewey.lca_list (List.map (Tree.dewey doc) witnesses)
           in
           (* Only "tightest" groups: the chosen witnesses' LCA is the
              candidate itself, so each connecting tree is reported at
              its own root. *)
-          if not (Dewey.equal lca a.dewey) then None
+          if not (Dewey.equal lca (Tree.dewey doc a)) then None
           else begin
             let members = ref [] in
             List.iter

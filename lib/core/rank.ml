@@ -44,16 +44,22 @@ let weights ?(params = default_params) (q : Query.t) =
     sat = 1. +. (params.k1 *. params.b /. Float.max 1. q.avg_df);
   }
 
-let contribution w i tf =
+let[@inline] contribution w i tf =
   if tf <= 0 then 0.
   else
     let tf = float_of_int tf in
     w.idfs.(i) *. tf *. (w.params.k1 +. 1.)
     /. ((w.sat *. tf) +. (w.params.k1 *. (1. -. w.params.b)))
 
+(* A plain loop over an unescaping accumulator: the top-k scan scores
+   every emitted fragment and bounds every driver step, so this must not
+   box a float per keyword. *)
 let score_tf w tf =
   let acc = ref 0. in
-  Array.iteri (fun i c -> acc := !acc +. contribution w i c) tf;
+  (* xkscost: unticked k-bounded: one contribution per keyword *)
+  for i = 0 to Array.length tf - 1 do
+    acc := !acc +. contribution w i tf.(i)
+  done;
   !acc
 
 (* An RTF's tf vector: how many of its dispatched keyword nodes contain

@@ -2,41 +2,11 @@ module Tree = Xks_xml.Tree
 
 type t = { lca : int; knodes : int array }
 
-(* Union of all posting lists.  The lists are already sorted, so a
-   k-way merge into a per-domain scratch buffer produces the sorted,
-   deduplicated union directly — the previous cons-everything-then-
-   [List.sort_uniq] version allocated a list cell per occurrence on
-   every query, which is minor-GC pressure the multicore batch path
-   cannot afford (each minor collection stops all domains). *)
+(* Union of all posting lists: the shared k-way merge over the whole
+   document, into a per-domain scratch buffer, so no list cell is
+   allocated per occurrence. *)
 let keyword_node_ids ?budget (q : Query.t) =
-  let postings = q.postings in
-  let k = Array.length postings in
-  let heads = Array.make (max 1 k) 0 in
-  Xks_util.Scratch.with_ints (fun out ->
-      let exhausted = ref false in
-      let last = ref min_int in
-      while not !exhausted do
-        (* One merge step per posting occurrence: ticked so a deadline
-           interrupts the union itself, not just the later dispatch. *)
-        Xks_robust.Budget.tick_opt budget 1;
-        let best = ref (-1) in
-        (* xkscost: unticked k-bounded: one head comparison per keyword list *)
-        for i = 0 to k - 1 do
-          if heads.(i) < Array.length postings.(i) then
-            let v = postings.(i).(heads.(i)) in
-            if !best < 0 || v < postings.(!best).(heads.(!best)) then best := i
-        done;
-        match !best with
-        | -1 -> exhausted := true
-        | i ->
-            let v = postings.(i).(heads.(i)) in
-            heads.(i) <- heads.(i) + 1;
-            if v <> !last then begin
-              Xks_util.Int_vec.push out v;
-              last := v
-            end
-      done;
-      Xks_util.Int_vec.to_array out)
+  Xks_lca.Keyword_nodes.union ?budget q.postings ~lo:0 ~hi:max_int ~skip:[||]
 
 let get_rtfs ?budget (q : Query.t) lcas =
   let doc = q.doc in

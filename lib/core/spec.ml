@@ -25,8 +25,10 @@ let check_size postings =
   if size > max_combinations then
     invalid_arg "Spec: input too large for the brute-force oracle"
 
+let dewey_of (q : Query.t) id = Tree.dewey q.doc (Tree.node q.doc id)
+
 let lca_id (q : Query.t) set =
-  let deweys = List.map (fun id -> (Tree.node q.doc id).dewey) (Iset.elements set) in
+  let deweys = List.map (dewey_of q) (Iset.elements set) in
   let d = Dewey.lca_list deweys in
   match Tree.find_by_dewey q.doc d with
   | Some n -> n.id
@@ -88,9 +90,9 @@ let rtf_partitions (q : Query.t) =
            lies below this LCA) do not count. *)
         let cond2 =
           let claimed_deeper id =
-            match Xks_lca.Probe.fc q.doc q.postings (Tree.node q.doc id) with
-            | Some f -> Dewey.is_ancestor (Tree.node q.doc l).dewey f.dewey
-            | None -> false
+            match Xks_lca.Probe.fc q.doc q.postings id with
+            | -1 -> false
+            | f -> Dewey.is_ancestor (dewey_of q l) (dewey_of q f)
           in
           List.for_all
             (fun i ->
@@ -118,10 +120,9 @@ let rtf_partitions (q : Query.t) =
         let cond3 =
           Iset.for_all
             (fun id ->
-              match Xks_lca.Probe.fc q.doc q.postings (Tree.node q.doc id) with
-              | Some f ->
-                  not (Dewey.is_ancestor (Tree.node q.doc l).dewey f.dewey)
-              | None -> true)
+              match Xks_lca.Probe.fc q.doc q.postings id with
+              | -1 -> true
+              | f -> not (Dewey.is_ancestor (dewey_of q l) (dewey_of q f)))
             set
         in
         cond1 && cond2 && cond3

@@ -52,9 +52,10 @@ let shred ?(cid_mode = Cid.Approx) doc =
   in
   let shred_node (n : Tree.node) =
     let name = Tree.label_name doc n in
+    let dewey = Tree.dewey doc n in
     let add_value attribute w =
       values :=
-        { v_label = name; v_dewey = n.dewey; v_attribute = attribute; v_keyword = w }
+        { v_label = name; v_dewey = dewey; v_attribute = attribute; v_keyword = w }
         :: !values
     in
     let seen = Hashtbl.create 8 in
@@ -74,8 +75,8 @@ let shred ?(cid_mode = Cid.Approx) doc =
     elements.(n.id) <-
       {
         e_label = name;
-        e_dewey = n.dewey;
-        e_level = Dewey.depth n.dewey;
+        e_dewey = dewey;
+        e_level = n.depth;
         e_label_path = label_path n;
         e_content_feature = Cid.of_words cid_mode (Tree.content_words doc n);
       }

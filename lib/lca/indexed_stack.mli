@@ -15,20 +15,28 @@
     [u]; invalid probes skip the whole subtree of [fc x], so each probe
     either succeeds or jumps over a maximal full container.
 
-    Results are returned in document order. *)
+    Results are returned in document order.
+
+    The scan works on preorder intervals only: its stack holds
+    [(id, subtree_end)] ints, every ancestor test is two integer
+    comparisons, and the stack, the child ranges and the results live
+    in per-domain {!Xks_util.Scratch} buffers, so a query allocates
+    nothing per probe. *)
 
 val is_elca :
   ?budget:Xks_robust.Budget.t ->
   Xks_xml.Tree.t ->
-  int array array -> Xks_xml.Tree.node -> (int * int) list -> bool
-(** [is_elca doc postings u child_ranges] is the pop-time witness check:
-    does [u]'s subtree hold, for every keyword, an occurrence outside
-    every full container strictly below [u]?  [child_ranges] are the
-    preorder ranges of [u]'s already-determined candidate children
-    (most recent first) — they only accelerate the probe scan; passing
-    [[]] is correct but slower.  [budget] is ticked once per witness
-    probe, so a deadline interrupts even a root-sized scan.  Shared
-    with {!Topk}, whose streaming driver must agree with {!elca}
+  int array array -> int -> Xks_util.Int_vec.t -> int -> bool
+(** [is_elca doc postings u ranges first] is the pop-time witness
+    check: does the subtree of node [u] hold, for every keyword, an
+    occurrence outside every full container strictly below [u]?
+    [ranges] from index [first] to its end holds the preorder ranges of
+    [u]'s already-determined candidate children, as flat [(lo, hi)]
+    pairs in ascending order — they only accelerate the probe scan;
+    passing none ([first = Int_vec.length ranges]) is correct but
+    slower.  No posting list may be empty.  [budget] is ticked once per
+    witness probe, so a deadline interrupts even a root-sized scan.
+    Shared with {!Topk}, whose streaming driver must agree with {!elca}
     exactly. *)
 
 val elca :

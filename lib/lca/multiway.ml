@@ -22,9 +22,8 @@ let slca doc postings =
       match heads 0 (-1) with
       | None -> ()
       | Some anchor ->
-          (match Probe.fc doc postings (Tree.node doc anchor) with
-          | Some c -> candidates := c.id :: !candidates
-          | None -> assert false (* no list is empty *));
+          (* no list is empty, so [fc] finds a container *)
+          candidates := Probe.fc doc postings anchor :: !candidates;
           step (anchor + 1)
     in
     step 0;

@@ -20,7 +20,7 @@ let slca doc postings =
   let fcs = full_containers doc postings in
   let strict_desc a b =
     let na = Tree.node doc a and nb = Tree.node doc b in
-    Dewey.is_ancestor na.dewey nb.dewey
+    Dewey.is_ancestor (Tree.dewey doc na) (Tree.dewey doc nb)
   in
   (* xkscost: unticked oracle: quadratic minimality filter, test/check-oracle only *)
   List.filter
@@ -66,13 +66,13 @@ let lca_of_witnesses doc postings =
         (* xkscost: unticked oracle: same witness enumeration, one branch per occurrence *)
         Array.iter
           (fun id ->
-            let d = (Tree.node doc id).dewey in
+            let d = Tree.dewey doc (Tree.node doc id) in
             go (i + 1) (Dewey.lca current_lca d))
           postings.(i)
     in
     (* xkscost: unticked oracle: drives the witness enumeration, test/check-oracle only *)
     Array.iter
-      (fun id -> go 1 (Tree.node doc id).dewey)
+      (fun id -> go 1 (Tree.dewey doc (Tree.node doc id)))
       postings.(0);
     let ids =
       List.filter_map (fun d ->

@@ -11,15 +11,17 @@ let slca doc postings =
     (* One forward cursor per non-anchor list, pointing at the first
        element >= the current anchor occurrence. *)
     let cursors = Array.make k 0 in
-    let closest_depth i v_node =
+    let closest_depth i (v_node : Tree.node) v_dewey =
       let s = postings.(i) in
       let n = Array.length s in
-      let vid = (v_node : Tree.node).id in
+      let vid = v_node.id in
       (* xkscost: unticked baseline: SLCA cross-check for tests/stress; cursors only move forward, amortised one step per occurrence *)
       while cursors.(i) < n && s.(cursors.(i)) < vid do
         cursors.(i) <- cursors.(i) + 1
       done;
-      let depth_with id = Dewey.lca_depth v_node.dewey (Tree.node doc id).dewey in
+      let depth_with id =
+        Dewey.lca_depth v_dewey (Tree.dewey doc (Tree.node doc id))
+      in
       let right =
         if cursors.(i) < n then Some (depth_with s.(cursors.(i))) else None
       in
@@ -33,10 +35,12 @@ let slca doc postings =
     in
     let candidate v =
       let v_node = Tree.node doc v in
-      let depth = ref (Dewey.depth v_node.dewey) in
+      let v_dewey = Tree.dewey doc v_node in
+      let depth = ref v_node.depth in
       (* xkscost: unticked k-bounded: one cursor probe per keyword list *)
       for i = 0 to k - 1 do
-        if i <> anchor then depth := min !depth (closest_depth i v_node)
+        if i <> anchor then
+          depth := min !depth (closest_depth i v_node v_dewey)
       done;
       (Probe.ancestor_at doc v_node !depth).id
     in

@@ -17,14 +17,12 @@ let indexed_lookup_eager ?budget doc postings =
   else begin
     let s1 = postings.(Probe.smallest_list_index postings) in
     (* Candidate per occurrence of the rarest keyword: its deepest full
-       container.  [fc] cannot return [None] here since no list is
+       container.  [fc] cannot return [-1] here since no list is
        empty. *)
     let candidate v =
       Xks_trace.Trace.incr Xks_trace.Trace.Nodes_visited;
       Xks_robust.Budget.tick_opt budget 1;
-      match Probe.fc doc postings (Tree.node doc v) with
-      | Some n -> n.id
-      | None -> assert false
+      Probe.fc doc postings v
     in
     (* Collect candidates in a per-domain scratch buffer and sort in
        place: the intermediate array + list of the old

@@ -90,11 +90,11 @@ let scan doc postings ~on_pop =
       done
     in
     let visit (id, mask) =
-      let dewey = (Tree.node doc id).dewey in
+      let dewey = Tree.dewey doc (Tree.node doc id) in
       let common =
         (* Depth up to which the stack already matches [dewey]. *)
         Dewey.lca_depth
-          (Tree.node doc (stack_top !path ~at:dewey).node_id).dewey
+          (Tree.dewey doc (Tree.node doc (stack_top !path ~at:dewey).node_id))
           dewey
       in
       (* xkscost: unticked baseline: each path entry pops once, amortised by the pushes above *)

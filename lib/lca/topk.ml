@@ -44,9 +44,10 @@
       keyword occurrences the exit freed us from ever dispatching. *)
 
 module Tree = Xks_xml.Tree
-module Dewey = Xks_xml.Dewey
 module Bsearch = Xks_util.Bsearch
+module Int_vec = Xks_util.Int_vec
 module Topheap = Xks_util.Topheap
+module Budget = Xks_robust.Budget
 module Trace = Xks_trace.Trace
 
 type candidate = {
@@ -59,12 +60,156 @@ type candidate = {
 
 type outcome = { top : candidate list; early_exit : bool; scanned : int }
 
-type entry = {
-  node : Tree.node;
-  mutable child_ranges : (int * int) list;
-  mutable passed : (int * int) list;
-      (* maximal emitted-ELCA ranges inside [node], disjoint *)
+(* One top-k scan.  [stack] holds the open entries, bottom first, as
+   (id, subtree_end, first child range, first passed range) quadruples.
+   Child ranges live in [ranges] exactly as in [Indexed_stack].  The
+   [passed] accounting — the preorder ranges of the maximal emitted
+   ELCAs, disjoint — lives in [passed] as ascending (lo, hi) pairs:
+   first the orphans, emitted ranges inside no open entry (when the
+   stack empties, the popped entry's ranges survive there until an
+   entry containing them is pushed, possibly much later and much
+   shallower, e.g. the document root, whose tf must still exclude every
+   occurrence dispatched to earlier subtrees), then each open entry's
+   slice from its [first passed] slot up to the next entry's.  An entry
+   that passes the check replaces its slice by its own range; one that
+   fails leaves its slice to the entry below, or to the orphans, in
+   place.  A pushed entry [x] claims the suffix with [lo >= x]: ranges
+   closed before the scan reached [x]'s occurrence cannot start after
+   [x]'s end, and an open ancestor has already claimed every orphan
+   inside [x], so the suffix is exactly what [x] contains — a backward
+   walk, amortised O(1) per push.  Every range thus stays at the
+   deepest open entry containing it, which is what the tf subtraction
+   in [emit] needs. *)
+type scan = {
+  doc : Tree.t;
+  postings : int array array;
+  budget : Budget.t option;
+  score : lca:int -> tf:int array -> float;
+  heap : (int array * int array) Topheap.t;  (* tf, passed ranges *)
+  consumed : int array;
+  tf : int array;  (* reused by every emit *)
+  avail : int array;  (* reused by every exit test *)
+  stack : Int_vec.t;
+  ranges : Int_vec.t;
+  passed : Int_vec.t;
 }
+
+(* Occurrences of [p] in [u .. u_end] minus those in the passed ranges
+   [from ..]: one binary search per range, ticked so an emit over a
+   long accounting list is interruptible. *)
+let rec count_dispatched s p from acc =
+  if from >= Int_vec.length s.passed then acc
+  else begin
+    Budget.tick_opt s.budget 1;
+    count_dispatched s p (from + 2)
+      (acc
+      - Bsearch.count_in_range p ~lo:(Int_vec.get s.passed from)
+          ~hi:(Int_vec.get s.passed (from + 1)))
+  end
+
+let passed_slice s from =
+  let n = Int_vec.length s.passed - from in
+  Array.init n (fun i -> Int_vec.get s.passed (from + i))
+
+let emit s u u_end from =
+  (* xkscost: unticked k-bounded: one tf count per keyword list; count_dispatched ticks per passed range *)
+  for i = 0 to Array.length s.postings - 1 do
+    let p = s.postings.(i) in
+    let c =
+      count_dispatched s p from (Bsearch.count_in_range p ~lo:u ~hi:u_end)
+    in
+    s.tf.(i) <- c;
+    s.consumed.(i) <- s.consumed.(i) + c
+  done;
+  let score = s.score ~lca:u ~tf:s.tf in
+  if Topheap.admits s.heap ~score ~id:u then
+    ignore
+      (Topheap.insert s.heap ~score ~id:u (Array.copy s.tf, passed_slice s from)
+        : bool)
+
+(* Pop the top entry; emit it if it passes the check; hand its range
+   (and the emitted ranges it accounts for) to the entry below.
+   Returns the popped id. *)
+let pop_and_check s =
+  Trace.incr Trace.Elca_popped;
+  (* Ticked so the post-driver drain (and the unwind spine) stays under
+     the deadline even when no new occurrence arrives. *)
+  Budget.tick_opt s.budget 1;
+  let pfirst = Int_vec.pop s.stack in
+  let cfirst = Int_vec.pop s.stack in
+  let u_end = Int_vec.pop s.stack in
+  let u = Int_vec.pop s.stack in
+  if Indexed_stack.is_elca ?budget:s.budget s.doc s.postings u s.ranges cfirst
+  then begin
+    emit s u u_end pfirst;
+    Int_vec.truncate s.passed pfirst;
+    Int_vec.push s.passed u;
+    Int_vec.push s.passed u_end
+  end;
+  Int_vec.truncate s.ranges cfirst;
+  if Int_vec.length s.stack > 0 then begin
+    Int_vec.push s.ranges u;
+    Int_vec.push s.ranges u_end
+  end;
+  u
+
+(* xkscost: unticked amortised: each iteration pops one entry, and pop_and_check ticks every pop *)
+let rec unwind s x x_end =
+  let n = Int_vec.length s.stack in
+  if n > 0 then begin
+    let top = Int_vec.get s.stack (n - 4) in
+    if not (top <= x && x <= Int_vec.get s.stack (n - 3)) then begin
+      let e = pop_and_check s in
+      if Int_vec.length s.stack = 0 && x <= e && e <= x_end then begin
+        Int_vec.push s.ranges e;
+        Int_vec.push s.ranges (Tree.node s.doc e).subtree_end
+      end;
+      unwind s x x_end
+    end
+  end
+
+(* The first slot of the suffix of [passed] above [floor] whose ranges
+   start at or after [x]. *)
+(* xkscost: unticked amortised: each passed range is claimed at most once per handoff, and every handoff happens under a ticked pop/push *)
+let rec claim_from passed floor x i =
+  if i > floor && Int_vec.get passed (i - 2) >= x then
+    claim_from passed floor x (i - 2)
+  else i
+
+let process s v =
+  Trace.incr Trace.Nodes_visited;
+  Budget.tick_opt s.budget 1;
+  let x = Probe.fc s.doc s.postings v in
+  let x_end = (Tree.node s.doc x).subtree_end in
+  unwind s x x_end;
+  let n = Int_vec.length s.stack in
+  if n = 0 || Int_vec.get s.stack (n - 4) <> x then begin
+    Trace.incr Trace.Elca_pushed;
+    let floor = if n = 0 then 0 else Int_vec.get s.stack (n - 1) in
+    Int_vec.push s.stack x;
+    Int_vec.push s.stack x_end;
+    Int_vec.push s.stack (if n = 0 then 0 else Int_vec.length s.ranges);
+    Int_vec.push s.stack
+      (claim_from s.passed floor x (Int_vec.length s.passed))
+  end
+
+(* Work remains (driver tail or un-popped stack entries): does the
+   bound already rule every future fragment out? *)
+let exit_now s ~bound =
+  Topheap.is_full s.heap
+  && begin
+       (* xkscost: unticked k-bounded: one length/counter read per keyword *)
+       for j = 0 to Array.length s.postings - 1 do
+         s.avail.(j) <- Array.length s.postings.(j) - s.consumed.(j)
+       done;
+       bound ~avail:s.avail < Topheap.min_score s.heap
+     end
+
+let note_exit s =
+  Trace.incr Trace.Topk_early_exit;
+  Trace.add Trace.Topk_pruned_postings
+    (* xkscost: unticked k-bounded: sums the k per-keyword avail counters *)
+    (Array.fold_left ( + ) 0 s.avail)
 
 let run ?budget ~k ~score ~bound doc postings =
   if k < 1 then invalid_arg "Topk.run: k must be >= 1";
@@ -76,206 +221,54 @@ let run ?budget ~k ~score ~bound doc postings =
     let s1 = postings.(Probe.smallest_list_index postings) in
     let n1 = Array.length s1 in
     let heap = Topheap.create ~capacity:k in
-    let consumed = Array.make nk 0 in
-    let stack = ref [] in
-    (* Emitted-ELCA ranges not (yet) inside any open stack entry: when
-       the stack empties, the popped entry's accounted ranges survive
-       here until an entry containing them is pushed — possibly much
-       later and much shallower (e.g. the document root, whose tf must
-       still exclude every occurrence dispatched to earlier subtrees).
-       Orphans are always disjoint from every open entry's range, so
-       only a newly pushed entry can absorb them. *)
-    let orphans = ref [] in
-    (* [orphans] and every [passed] list stay sorted descending by
-       range start: ranges are handed up / orphaned in document order,
-       so prepending preserves the order, and the ranges a new entry
-       [x] contains are exactly the prefix with [lo >= x.id] (closed
-       ranges end before the scan position inside [x], so they cannot
-       start after [x.subtree_end]).  That makes claiming them a
-       prefix take — amortised O(1) per push, where a predicate
-       partition over the whole list is quadratic across the scan. *)
-    let split_inside cutoff ranges =
-      (* xkscost: unticked amortised prefix take: each range is claimed at most once per handoff, and every handoff happens under a ticked pop/push *)
-      let rec go acc = function
-        | ((lo, _) as r) :: rest when lo >= cutoff -> go (r :: acc) rest
-        | rest -> (List.rev acc, rest)
-      in
-      go [] ranges
+    let early, scanned =
+      Xks_util.Scratch.with_ints (fun stack ->
+          Xks_util.Scratch.with_ints (fun ranges ->
+              Xks_util.Scratch.with_ints (fun passed ->
+                  let s =
+                    {
+                      doc; postings; budget; score; heap;
+                      consumed = Array.make nk 0;
+                      tf = Array.make nk 0;
+                      avail = Array.make nk 0;
+                      stack; ranges; passed;
+                    }
+                  in
+                  let early = ref false in
+                  let i = ref 0 in
+                  while (not !early) && !i < n1 do
+                    process s s1.(!i);
+                    incr i;
+                    if (!i < n1 || Int_vec.length stack > 0) && exit_now s ~bound
+                    then early := true
+                  done;
+                  while (not !early) && Int_vec.length stack > 0 do
+                    ignore (pop_and_check s : int);
+                    if Int_vec.length stack > 0 && exit_now s ~bound then
+                      early := true
+                  done;
+                  if !early then note_exit s;
+                  (!early, !i))))
     in
-    let ancestor_or_self (a : Tree.node) (b : Tree.node) =
-      Dewey.is_ancestor_or_self a.dewey b.dewey
-    in
-    let count_dispatched posting (u : Tree.node) passed =
-      List.fold_left
-        (fun acc (lo, hi) ->
-          (* One binary search per passed range: ticked so an emit over a
-             long accounting list is interruptible. *)
-          Xks_robust.Budget.tick_opt budget 1;
-          acc - Bsearch.count_in_range posting ~lo ~hi)
-        (Bsearch.count_in_range posting ~lo:u.id ~hi:u.subtree_end)
-        passed
-    in
-    let emit (u : Tree.node) passed =
-      let tf = Array.map (fun p -> count_dispatched p u passed) postings in
-      Array.iteri (fun i c -> consumed.(i) <- consumed.(i) + c) tf;
-      let s = score ~lca:u.id ~tf in
-      ignore (Topheap.insert heap ~score:s ~id:u.id (tf, passed) : bool)
-    in
-    (* Pop [e]; emit it if it passes the check; hand its range (and the
-       emitted ranges it accounts for) to the entry below. *)
-    let pop_and_check () =
-      match !stack with
-      | [] -> assert false
-      | e :: rest ->
-          Trace.incr Trace.Elca_popped;
-          (* Ticked so the post-driver drain (and the unwind spine) stays
-             under the deadline even when no new occurrence arrives. *)
-          Xks_robust.Budget.tick_opt budget 1;
-          stack := rest;
-          let range = (e.node.id, e.node.subtree_end) in
-          let passed_up =
-            if Indexed_stack.is_elca ?budget doc postings e.node e.child_ranges
-            then begin
-              emit e.node e.passed;
-              [ range ]
-            end
-            else e.passed
-          in
-          (match rest with
-          | parent :: _ ->
-              parent.child_ranges <- range :: parent.child_ranges;
-              (* xkscost: allow list-append passed_up is [range] or the popped entry's own ranges, handed up exactly once — amortised O(1) per pop *)
-              parent.passed <- passed_up @ parent.passed
-          (* xkscost: allow list-append same single handoff as above, to the orphan pool *)
-          | [] -> orphans := passed_up @ !orphans);
-          range
-    in
-    let process v =
-      Trace.incr Trace.Nodes_visited;
-      Xks_robust.Budget.tick_opt budget 1;
-      let x =
-        match Probe.fc doc postings (Tree.node doc v) with
-        | Some n -> n
-        | None -> assert false
-      in
-      let pending = ref [] in
-      let rec unwind () =
-        match !stack with
-        | e :: _ when not (ancestor_or_self e.node x) ->
-            let range = pop_and_check () in
-            if !stack = [] && ancestor_or_self x e.node then
-              pending := range :: !pending;
-            unwind ()
-        | _ -> ()
-      in
-      unwind ();
-      match !stack with
-      | e :: _ when e.node.id = x.id -> ()
-      | _ ->
-          Trace.incr Trace.Elca_pushed;
-          (* Absorb the orphaned emitted ranges that [x] contains: [x]
-             is the first open entry to contain them (any lower entry
-             pushed since they were orphaned would have absorbed them
-             already, and entries below [x] are its ancestors). *)
-          let absorbed, outside = split_inside x.id !orphans in
-          orphans := outside;
-          (* Steal from the nearest open ancestor the emitted ranges
-             [x] contains: they popped before [x] opened, so they were
-             handed to what was then the stack top — a node above [x].
-             Applied at every push, this keeps each range at the
-             deepest open entry containing it, which is exactly what
-             the tf subtraction in [emit] needs.  (At most one source
-             is nonempty: an open ancestor would itself have absorbed
-             any orphan inside [x].) *)
-          let inside =
-            match !stack with
-            | parent :: _ ->
-                let mine, theirs = split_inside x.id parent.passed in
-                parent.passed <- theirs;
-                (* xkscost: allow list-append mine and absorbed are both prefix takes claimed exactly once per range *)
-                mine @ absorbed
-            | [] -> absorbed
-          in
-          stack := { node = x; child_ranges = !pending; passed = inside } :: !stack
-    in
-    let early = ref false in
-    (* Work remains (driver tail or un-popped stack entries): see
-       whether the bound already rules every future fragment out. *)
-    let try_exit () =
-      if Topheap.is_full heap then begin
-        let avail =
-          (* xkscost: unticked k-bounded: one length/counter read per keyword *)
-          Array.mapi (fun j p -> Array.length p - consumed.(j)) postings
-        in
-        if bound ~avail < Topheap.min_score heap then begin
-          early := true;
-          Trace.incr Trace.Topk_early_exit;
-          Trace.add Trace.Topk_pruned_postings
-            (* xkscost: unticked k-bounded: sums the k per-keyword avail counters *)
-            (Array.fold_left ( + ) 0 avail)
-        end
-      end
-    in
-    let i = ref 0 in
-    while (not !early) && !i < n1 do
-      process s1.(!i);
-      incr i;
-      if !i < n1 || !stack <> [] then try_exit ()
-    done;
-    while (not !early) && !stack <> [] do
-      ignore (pop_and_check () : int * int);
-      if !stack <> [] then try_exit ()
-    done;
-    stack := [];
     (* Materialise keyword nodes only for the k winners: posting entries
-       in the winner's range minus its emitted-descendant ranges, merged
-       and deduplicated.  The passed ranges are disjoint, so sorting
-       them once lets each posting be filtered in a single merge sweep
-       (postings are ascending). *)
-    let knodes_of lca_id passed =
-      let u = Tree.node doc lca_id in
-      let passed =
-        List.sort (fun (a, _) (b, _) -> Int.compare a b) passed
-      in
-      Xks_util.Scratch.with_ints (fun out ->
-          Array.iter
-            (fun posting ->
-              let lo = Bsearch.lower_bound posting u.id in
-              let hi = Bsearch.upper_bound posting u.subtree_end in
-              let remaining = ref passed in
-              for j = lo to hi - 1 do
-                (* One posting entry per iteration: ticked so
-                   materialising a huge winner subtree is interruptible. *)
-                Xks_robust.Budget.tick_opt budget 1;
-                let id = posting.(j) in
-                (* xkscost: unticked monotone prefix skip over the sorted passed ranges; the enclosing for loop ticks per posting entry *)
-                let rec advance = function
-                  | (_, b) :: rest when b < id -> advance rest
-                  | l -> l
-                in
-                remaining := advance !remaining;
-                match !remaining with
-                | (a, _) :: _ when id >= a -> ()
-                | (_, _) :: _ | [] -> Xks_util.Int_vec.push out id
-              done)
-            postings;
-          Xks_util.Int_vec.sort_uniq out;
-          Xks_util.Int_vec.to_array out)
-    in
-    (* [passed] is final at a winner's pop and lists every emitted ELCA
+       in the winner's range minus its emitted-descendant ranges.
+       [passed] is final at a winner's pop and lists every emitted ELCA
        strictly inside it; an ELCA with none below is an SLCA (a full
        container strictly below would hold an SLCA, itself an ELCA). *)
     let top =
       List.map
-        (fun (s, id, (tf, passed)) ->
+        (fun (score, lca, (tf, passed)) ->
+          let u = Tree.node doc lca in
           {
-            lca = id;
-            score = s;
+            lca;
+            score;
             tf;
-            knodes = knodes_of id passed;
-            is_slca = passed = [];
+            knodes =
+              Keyword_nodes.union ?budget postings ~lo:lca ~hi:u.subtree_end
+                ~skip:passed;
+            is_slca = Array.length passed = 0;
           })
         (Topheap.to_sorted_list heap)
     in
-    { top; early_exit = !early; scanned = !i }
+    { top; early_exit = early; scanned }
   end

@@ -16,7 +16,13 @@
 
     The scoring callbacks live with the caller ({!Xks_core.Rank}); this
     module only promises to call them with exact RTF term frequencies
-    and a true per-keyword availability vector. *)
+    and a true per-keyword availability vector.
+
+    Like {!Indexed_stack.elca}, the scan keeps [(id, subtree_end)] ints
+    on its stack and its range accounting in per-domain scratch
+    buffers; it allocates only the heap payload of a fragment the heap
+    admits, and the k winners' keyword nodes come from
+    {!Keyword_nodes.union}. *)
 
 type candidate = {
   lca : int;  (** ELCA node id *)
@@ -48,7 +54,9 @@ val run :
     [score] must be monotone nondecreasing in every [tf] component and
     [bound ~avail] must be an upper bound on [score] over all tf vectors
     with [tf_i <= avail_i] — {!Xks_core.Rank} provides both; early
-    termination is unsound otherwise.  [budget] ticks once per driver
+    termination is unsound otherwise.  The [tf] and [avail] arrays are
+    reused across calls: a callback may read them but must not keep
+    them.  [budget] ticks once per driver
     occurrence, as {!Indexed_stack.elca} does.  Ticks the
     [topk.early_exit] / [topk.pruned_postings] trace counters when the
     bound fires.

@@ -27,9 +27,10 @@
    Workers observe the stop flag between requests and answer with
    [Connection: close], so draining converges; sockets cut at the
    deadline wake their worker's blocking read immediately.  The
-   per-connection cleanup path is the single place that closes the fd,
-   removes the table entry and releases the admission slot, whichever
-   way the connection ends.
+   per-connection cleanup path is the single place that closes the fd
+   and removes the table entry, whichever way the connection ends; the
+   admission slot goes back once, just before a closing response is
+   written, or in the cleanup when there is none.
 
    Lock discipline (machine-checked by xksrace): the connection table is
    guarded by [mutex]; every counter, and the stop flag, is an
@@ -419,7 +420,19 @@ let route t trace_id req =
     | "/stats" -> (200, stats_json t)
     | p -> (404, err_obj trace_id ("no such endpoint: " ^ p))
 
-let respond t fd ~close ~status ~trace_id body_obj =
+(* A connection's admission slot is released exactly once: before its
+   closing response is written, or by [serve_conn]'s cleanup when the
+   connection ends without one.  Releasing only after the write would
+   let a client that reads the response and reconnects at once find
+   the slot still taken and draw a 503. *)
+let release_slot t held =
+  if !held then begin
+    held := false;
+    Admission.release t.admission
+  end
+
+let respond t fd ~held ~close ~status ~trace_id body_obj =
+  if close then release_slot t held;
   let headers = [ ("x-request-id", trace_id) ] in
   let headers =
     if close then ("connection", "close") :: headers else headers
@@ -447,7 +460,7 @@ let parse_error_message e =
    framing is unknown past the error); a mid-request read timeout
    answers 408 best-effort and closes; the idle timeout between
    requests is a silent, normal close. *)
-let conn_loop t conn_id fd =
+let conn_loop t conn_id fd ~held =
   let reader = Http.reader t.cfg.http_limits in
   let req_seq = ref 0 in
   let rec loop () =
@@ -470,7 +483,7 @@ let conn_loop t conn_id fd =
           Trace.incr Trace.Requests_timed_out;
           let trace_id = Printf.sprintf "c%d.r%d" conn_id (!req_seq + 1) in
           (match
-             respond t fd ~close:true ~status:408 ~trace_id
+             respond t fd ~held ~close:true ~status:408 ~trace_id
                (err_obj trace_id "request read timed out")
            with
           | `Sent | `Gone -> ())
@@ -479,7 +492,7 @@ let conn_loop t conn_id fd =
         incr req_seq;
         let trace_id = Printf.sprintf "c%d.r%d" conn_id !req_seq in
         (match
-           respond t fd ~close:true ~status:400 ~trace_id
+           respond t fd ~held ~close:true ~status:400 ~trace_id
              (err_obj trace_id (parse_error_message e))
          with
         | `Sent | `Gone -> ())
@@ -492,7 +505,7 @@ let conn_loop t conn_id fd =
         let status, body =
           Trace.with_span "serve.request" (fun () -> route t trace_id req)
         in
-        match respond t fd ~close ~status ~trace_id body with
+        match respond t fd ~held ~close ~status ~trace_id body with
         | `Sent -> if not close then loop ()
         | `Gone -> ())
   in
@@ -500,13 +513,14 @@ let conn_loop t conn_id fd =
 
 (* xksleak: owns fd *)
 let serve_conn t conn_id fd =
+  let held = ref true in
   let cleanup () =
     Mutex.protect t.mutex (fun () -> Hashtbl.remove t.conns conn_id);
     (try Unix.close fd with Unix.Unix_error (_, _, _) -> ());
-    Admission.release t.admission
+    release_slot t held
   in
   Fun.protect ~finally:cleanup (fun () ->
-      match conn_loop t conn_id fd with
+      match conn_loop t conn_id fd ~held with
       | () -> ()
       | exception ((Out_of_memory | Stack_overflow) as e) -> raise e
       | exception e ->
@@ -604,13 +618,20 @@ let accept_loop t =
 
 (* --- shutdown --- *)
 
+(* Every connection has finished: a worker gives its slot back before
+   writing a closing response, so the slot count alone would let the
+   drain stop while that response is still being written. *)
+let all_done t =
+  Admission.outstanding t.admission = 0
+  && Mutex.protect t.mutex (fun () -> Hashtbl.length t.conns = 0)
+
 let drain t =
   (try Unix.close t.listen_fd with Unix.Unix_error (_, _, _) -> ());
   let deadline =
     Unix.gettimeofday () +. ms_to_s t.cfg.drain_timeout_ms
   in
   let rec wait () =
-    if Admission.outstanding t.admission = 0 then true
+    if all_done t then true
     else if Unix.gettimeofday () >= deadline then false
     else begin
       Unix.sleepf 0.01;
@@ -635,7 +656,7 @@ let drain t =
         with Unix.Unix_error (_, _, _) -> ())
       victims;
     let rec settle () =
-      if Admission.outstanding t.admission > 0 then begin
+      if not (all_done t) then begin
         Unix.sleepf 0.005;
         settle ()
       end

@@ -10,7 +10,9 @@
     configured {!Xks_robust.Budget} recipe, so slow queries degrade down
     the ValidRTF → MaxMatch → SLCA ladder instead of hogging a worker;
     the JSON response carries the [degraded] reason and budget class.
-    Keep-alive connections hold their admission slot until they close.
+    Keep-alive connections hold their admission slot until they close;
+    the slot is given back just before a closing response is written, so
+    a client that reconnects as soon as it has read it finds it free.
 
     Endpoints (all [GET], JSON bodies, [x-request-id] on every
     response):

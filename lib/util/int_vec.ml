@@ -16,6 +16,10 @@ let check v i = if i < 0 || i >= v.len then invalid_arg "Int_vec: index"
 let get v i = check v i; v.data.(i)
 let set v i x = check v i; v.data.(i) <- x
 let clear v = v.len <- 0
+
+let truncate v n =
+  if n < 0 || n > v.len then invalid_arg "Int_vec.truncate";
+  v.len <- n
 let to_array v = Array.sub v.data 0 v.len
 
 let iter f v =

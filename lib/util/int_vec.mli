@@ -18,6 +18,11 @@ val set : t -> int -> int -> unit
 val clear : t -> unit
 (** Reset the length to 0, keeping the capacity. *)
 
+val truncate : t -> int -> unit
+(** [truncate v n] drops every element from index [n] on, keeping the
+    capacity.
+    @raise Invalid_argument unless [0 <= n <= length v]. *)
+
 val to_array : t -> int array
 (** A fresh array of the current contents. *)
 

@@ -3,7 +3,8 @@ type node = {
   label : Label.t;
   text : string;
   attrs : (string * string) list;
-  dewey : Dewey.t;
+  depth : int;
+  child_rank : int;
   parent : int;
   children : node array;
   subtree_end : int;
@@ -30,14 +31,14 @@ let build b =
   let n = count_builder b in
   let nodes = Array.make n None in
   let next = ref 0 in
-  let rec go b dewey parent =
+  let rec go b depth child_rank parent =
     let id = !next in
     incr next;
     (* Intern before recursing so label ids follow document order. *)
     let label = Label.intern label_table b.b_label in
     let children =
       Array.of_list
-        (List.mapi (fun i c -> go c (Dewey.child dewey i) id) b.b_children)
+        (List.mapi (fun i c -> go c (depth + 1) i id) b.b_children)
     in
     let node =
       {
@@ -45,7 +46,8 @@ let build b =
         label;
         text = b.b_text;
         attrs = b.b_attrs;
-        dewey;
+        depth;
+        child_rank;
         parent;
         children;
         subtree_end = !next - 1;
@@ -54,7 +56,7 @@ let build b =
     nodes.(id) <- Some node;
     node
   in
-  let root_node = go b Dewey.root (-1) in
+  let root_node = go b 0 0 (-1) in
   let nodes =
     Array.map
       (function Some n -> n | None -> assert false (* all slots filled *))
@@ -80,6 +82,17 @@ let find_by_dewey t d =
       if c < Array.length n.children then go n.children.(c) (i + 1) else None
   in
   go t.root_node 0
+
+let dewey t n =
+  let code = Array.make n.depth 0 in
+  let rec up (n : node) =
+    if n.parent >= 0 then begin
+      code.(n.depth - 1) <- n.child_rank;
+      up t.nodes.(n.parent)
+    end
+  in
+  up n;
+  Dewey.of_array code
 
 let parent_node t n = if n.parent < 0 then None else Some t.nodes.(n.parent)
 let iter f t = Array.iter f t.nodes
@@ -158,4 +171,4 @@ let delete_subtree t ~id =
   build (go t.root_node)
 
 let pp_node t fmt n =
-  Format.fprintf fmt "%s (%s)" (Dewey.to_string n.dewey) (label_name t n)
+  Format.fprintf fmt "%s (%s)" (Dewey.to_string (dewey t n)) (label_name t n)

@@ -3,8 +3,12 @@
     An XML data is modelled as in the paper: a rooted, ordered, labelled
     tree [T = (r, V, E, Sigma, lambda)] where every node carries a label
     and leaf nodes may also carry a text value.  Attributes are kept on
-    the node.  Every node is identified both by its preorder rank [id]
-    (dense, root = 0) and by its Dewey code; the two orders agree.
+    the node.  A node is identified by its preorder rank [id] (dense,
+    root = 0) and spans the preorder interval [id .. subtree_end], so an
+    ancestor test is two integer comparisons.  Its Dewey code is not
+    stored: {!dewey} derives it on demand (rendering, the paper's
+    figures, the relational shredding), and Dewey order agrees with id
+    order.
 
     Values of type {!t} are immutable once built. *)
 
@@ -13,7 +17,10 @@ type node = private {
   label : Label.t;  (** interned element name *)
   text : string;  (** concatenated text content, [""] when none *)
   attrs : (string * string) list;  (** attribute name/value pairs *)
-  dewey : Dewey.t;
+  depth : int;  (** edges from the root: 0 for the root *)
+  child_rank : int;
+      (** position among the parent's children, from 0: the last
+          component of the Dewey code; 0 for the root *)
   parent : int;  (** id of the parent node, [-1] for the root *)
   children : node array;
   subtree_end : int;
@@ -27,7 +34,8 @@ type t
 (** {1 Building} *)
 
 type builder
-(** A tree under construction, before ids and Dewey codes are assigned. *)
+(** A tree under construction, before ids, depths and child ranks are
+    assigned. *)
 
 val elem :
   ?attrs:(string * string) list -> ?text:string -> string -> builder list ->
@@ -36,7 +44,8 @@ val elem :
     direct text content. *)
 
 val build : builder -> t
-(** [build b] assigns preorder ids and Dewey codes and freezes the tree. *)
+(** [build b] assigns preorder ids, depths and child ranks and freezes
+    the tree. *)
 
 (** {1 Access} *)
 
@@ -50,6 +59,12 @@ val node : t -> int -> node
 
 val labels : t -> Label.table
 val label_name : t -> node -> string
+
+val dewey : t -> node -> Dewey.t
+(** [dewey t n] is the Dewey code of [n], derived by walking up to the
+    root and reading each ancestor's [child_rank]: O(depth), allocating only
+    the code.  Off the query hot path, which works on [id] /
+    [subtree_end] intervals. *)
 
 val find_by_dewey : t -> Dewey.t -> node option
 (** Navigate from the root by child ranks. *)

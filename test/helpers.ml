@@ -14,7 +14,7 @@ let id_at doc s =
 
 let ids_at doc ss = List.map (id_at doc) ss
 
-let dewey_str doc id = Dewey.to_string (Tree.node doc id).Tree.dewey
+let dewey_str doc id = Dewey.to_string (Tree.dewey doc (Tree.node doc id))
 let deweys_of doc ids = List.map (dewey_str doc) ids
 
 (* Alcotest checkers. *)
@@ -60,6 +60,27 @@ let gen_doc_sized =
                 (list_size (return c) sub))))
 
 let gen_doc = QCheck2.Gen.map Tree.build gen_doc_sized
+
+(* Deep documents: a root-leaf chain of up to 40 nodes, each level with
+   an optional leaf beside the chain (before or after it), so ancestor
+   walks run long and neighbours sit on both sides of the path. *)
+let gen_deep_doc =
+  QCheck2.Gen.(
+    let text = oneof [ return ""; oneofa words ] in
+    let leaf = map2 (fun l t -> Tree.elem ~text:t l []) (oneofa labels) text in
+    let level = quad (oneofa labels) text (option leaf) bool in
+    map
+      (fun levels ->
+        match
+          List.fold_left
+            (fun below (l, t, side, side_first) ->
+              let side = Option.to_list side in
+              [ Tree.elem ~text:t l (if side_first then side @ below else below @ side) ])
+            [] levels
+        with
+        | [ root ] -> Tree.build root
+        | _ -> assert false (* at least one level *))
+      (list_size (int_range 1 40) level))
 
 let print_doc doc = Xks_xml.Writer.to_string ~declaration:false doc
 

@@ -71,7 +71,7 @@ let test_append_subtree_preserves_deweys () =
   let after = Axioms.append_subtree before ~parent_id:0 (Tree.elem "x" []) in
   Tree.iter
     (fun (n : Tree.node) ->
-      match Tree.find_by_dewey after n.Tree.dewey with
+      match Tree.find_by_dewey after (Tree.dewey before n) with
       | Some m ->
           Alcotest.(check string)
             "same label at same dewey"

@@ -92,7 +92,7 @@ let test_ranking_prefers_specific () =
   | first :: _ ->
       let root_node = Xks_xml.Tree.node (Engine.doc engine) first.Engine.rtf.Xks_core.Rtf.lca in
       Alcotest.(check bool) "deep fragment first" true
-        (Xks_xml.Dewey.depth root_node.Xks_xml.Tree.dewey > 0)
+        (root_node.Xks_xml.Tree.depth > 0)
   | [] -> Alcotest.fail "expected hits"
 
 (* The degradation signal must survive an empty hit list: a budgeted

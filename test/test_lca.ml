@@ -68,9 +68,9 @@ let test_keyword_on_inner_node () =
 let test_probe_fc () =
   let doc, ps = doc_and_postings nested_xml [ "w1"; "w2" ] in
   let fc_of dewey =
-    match Probe.fc doc ps (Tree.node doc (Helpers.id_at doc dewey)) with
-    | Some n -> Xks_xml.Dewey.to_string n.Tree.dewey
-    | None -> "none"
+    match Probe.fc doc ps (Helpers.id_at doc dewey) with
+    | -1 -> "none"
+    | f -> Helpers.dewey_str doc f
   in
   Alcotest.(check string) "fc of c is c" "0.0.0" (fc_of "0.0.0");
   Alcotest.(check string) "fc of t is m" "0.0" (fc_of "0.0.1");
@@ -80,9 +80,9 @@ let test_probe_ancestor_at () =
   let doc, _ = doc_and_postings nested_xml [ "w1" ] in
   let n = Tree.node doc (Helpers.id_at doc "0.0.1") in
   Alcotest.(check string) "depth 1" "0.0"
-    (Xks_xml.Dewey.to_string (Probe.ancestor_at doc n 1).Tree.dewey);
+    (Helpers.dewey_str doc (Probe.ancestor_at doc n 1).Tree.id);
   Alcotest.(check string) "depth 0" "0"
-    (Xks_xml.Dewey.to_string (Probe.ancestor_at doc n 0).Tree.dewey)
+    (Helpers.dewey_str doc (Probe.ancestor_at doc n 0).Tree.id)
 
 let test_smallest_list () =
   Alcotest.(check int) "picks the shortest" 1
@@ -169,15 +169,98 @@ let prop_fc_is_deepest_full_container =
             List.filter
               (fun f ->
                 let fn = Tree.node doc f in
-                Xks_xml.Dewey.is_ancestor_or_self fn.Tree.dewey n.Tree.dewey)
+                Xks_xml.Dewey.is_ancestor_or_self (Tree.dewey doc fn)
+                  (Tree.dewey doc n))
               fcs
             |> List.fold_left (fun _ f -> Some f) None
           in
-          match (Probe.fc doc ps n, expected) with
-          | None, None -> true
-          | Some f, Some e -> f.Tree.id = e
-          | Some _, None | None, Some _ -> false)
+          match (Probe.fc doc ps n.Tree.id, expected) with
+          | -1, None -> true
+          | f, Some e -> f = e
+          | _, None -> false)
         true doc)
+
+(* The interval [fc] against the definition it replaced: the deepest
+   full container of [x] is its ancestor at depth
+   min_i max_{m in S_i} |lcp(dewey x, dewey m)| — the longest common
+   Dewey prefix with the closest occurrence of each keyword — and there
+   is none when some list is empty. *)
+let fc_by_dewey doc ps (x : Tree.node) =
+  let dx = Tree.dewey doc x in
+  if Array.exists (fun p -> Array.length p = 0) ps then -1
+  else
+    let closest p =
+      Array.fold_left
+        (fun m id ->
+          max m (Xks_xml.Dewey.lca_depth dx (Tree.dewey doc (Tree.node doc id))))
+        0 p
+    in
+    let depth =
+      Array.fold_left (fun d p -> min d (closest p)) (Xks_xml.Dewey.depth dx) ps
+    in
+    match Tree.find_by_dewey doc (Xks_xml.Dewey.prefix dx depth) with
+    | Some n -> n.Tree.id
+    | None -> -1
+
+(* Random queries over the small word alphabet, sometimes with a word
+   no document holds, so empty posting lists come up too. *)
+let gen_fc_case =
+  QCheck2.Gen.(
+    triple
+      (oneof [ Helpers.gen_doc; Helpers.gen_deep_doc ])
+      Helpers.gen_query bool)
+
+let prop_fc_matches_dewey_definition =
+  QCheck2.Test.make ~count:400
+    ~name:"interval fc = Dewey longest-common-prefix definition"
+    ~print:(fun (doc, q, absent) ->
+      print_case (doc, if absent then q @ [ "absent" ] else q))
+    gen_fc_case
+    (fun (doc, q, absent) ->
+      let ps = Helpers.postings_for doc (if absent then q @ [ "absent" ] else q) in
+      Tree.fold
+        (fun acc n -> acc && Probe.fc doc ps n.Tree.id = fc_by_dewey doc ps n)
+        true doc)
+
+(* The getLCA scans allocate nothing per probe: only their output (one
+   list cell per ELCA, the heap payload of an admitted top-k fragment,
+   a boxed score per callback).  The bounds are minor-heap words per
+   occurrence of the rarest keyword, the algorithms' outer loop; the
+   Dewey-array scans they replaced took over 300. *)
+let test_scan_allocation () =
+  let doc =
+    Xks_datagen.Dblp_gen.(
+      generate ~config:{ default_config with entries = 2000; seed = 3 } ())
+  in
+  let idx = Xks_index.Inverted.build doc in
+  let q = Xks_core.Query.make ~order:`Rarest idx [ "author"; "year" ] in
+  let driver =
+    Array.length q.postings.(Probe.smallest_list_index q.postings)
+  in
+  Alcotest.(check bool) "the query has a long driver list" true (driver >= 1000);
+  let per_driver f =
+    ignore (f ());
+    let before = Gc.minor_words () in
+    ignore (f ());
+    (Gc.minor_words () -. before) /. float_of_int driver
+  in
+  let elca =
+    per_driver (fun () -> List.length (Indexed_stack.elca q.doc q.postings))
+  in
+  let w = Xks_core.Rank.weights q in
+  let topk =
+    per_driver (fun () ->
+        List.length
+          (Xks_lca.Topk.run ~k:10
+             ~score:(fun ~lca:_ ~tf -> Xks_core.Rank.score_tf w tf)
+             ~bound:(fun ~avail -> Xks_core.Rank.bound w ~avail)
+             q.doc q.postings)
+            .top)
+  in
+  if elca > 8. then
+    Alcotest.failf "Indexed_stack.elca: %.1f minor words per driver occurrence" elca;
+  if topk > 24. then
+    Alcotest.failf "Topk.run: %.1f minor words per driver occurrence" topk
 
 let tests =
   [
@@ -198,4 +281,7 @@ let tests =
     Helpers.qtest prop_elca_subset_full_containers;
     Helpers.qtest prop_elca_subset_lca_closure;
     Helpers.qtest prop_fc_is_deepest_full_container;
+    Helpers.qtest prop_fc_matches_dewey_definition;
+    Alcotest.test_case "scan allocation per driver occurrence" `Quick
+      test_scan_allocation;
   ]

@@ -83,8 +83,8 @@ let prop_partitions_disjoint_and_assigned_deepest =
               let lca_node = Tree.node doc rtf.Rtf.lca in
               let kn_node = Tree.node doc kn in
               let is_anc =
-                Xks_xml.Dewey.is_ancestor_or_self lca_node.Tree.dewey
-                  kn_node.Tree.dewey
+                Xks_xml.Dewey.is_ancestor_or_self (Tree.dewey doc lca_node)
+                  (Tree.dewey doc kn_node)
               in
               (* No deeper LCA is also an ancestor. *)
               let deepest =
@@ -93,10 +93,11 @@ let prop_partitions_disjoint_and_assigned_deepest =
                     other = rtf.Rtf.lca
                     || (let o = Tree.node doc other in
                         not
-                          (Xks_xml.Dewey.is_ancestor_or_self o.Tree.dewey
-                             kn_node.Tree.dewey))
+                          (Xks_xml.Dewey.is_ancestor_or_self
+                             (Tree.dewey doc o) (Tree.dewey doc kn_node)))
                     || Xks_xml.Dewey.is_ancestor_or_self
-                         (Tree.node doc other).Tree.dewey lca_node.Tree.dewey)
+                         (Tree.dewey doc (Tree.node doc other))
+                         (Tree.dewey doc lca_node))
                   lcas
               in
               fresh && is_anc && deepest)

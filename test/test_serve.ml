@@ -329,6 +329,50 @@ let test_create_failure_leaks_nothing () =
     Alcotest.(check int) "no fd leaked by failed create" before (count_fds ())
   end
 
+(* One-shot clients at a full gate: with one worker and no queue, each
+   client reads its response and reconnects at once.  The worker gives
+   the slot back before it writes a closing response, so by the time
+   the client has read it the gate is open again and no request of the
+   sequence may draw a 503. *)
+let test_closing_response_frees_slot () =
+  let module Loadgen = Xks_bench.Loadgen in
+  let engine =
+    Xks_core.Engine.of_index
+      (Xks_index.Inverted.build
+         (Xks_xml.Parser.parse_string "<a><b>xml search</b><c>keyword</c></a>"))
+  in
+  let socket_path =
+    Filename.concat
+      (Filename.get_temp_dir_name ())
+      (Printf.sprintf "xks_slot_%d.sock" (Unix.getpid ()))
+  in
+  let srv =
+    Server.create
+      { (Server.default_config ~socket_path ()) with
+        Server.workers = 1; queue = 0; cache_mb = 0 }
+      engine
+  in
+  let d = Domain.spawn (fun () -> Server.run srv) in
+  let statuses =
+    Fun.protect
+      ~finally:(fun () ->
+        Server.request_shutdown srv;
+        Domain.join d)
+      (fun () ->
+        List.init 200 (fun _ ->
+            let fd = Loadgen.connect socket_path in
+            Fun.protect
+              ~finally:(fun () -> Loadgen.close_quietly fd)
+              (fun () ->
+                Loadgen.send_request ~close:true fd "/health";
+                match Loadgen.read_reply fd with
+                | Some r -> r.status
+                | None -> -1)))
+  in
+  Alcotest.(check (list int))
+    "every sequential one-shot request is served" []
+    (List.filter (fun s -> s <> 200) statuses)
+
 let tests =
   [
     Alcotest.test_case "http: simple request" `Quick test_parse_simple;
@@ -355,6 +399,8 @@ let tests =
     Alcotest.test_case "admission: error mapping" `Quick
       test_admission_error_mapping;
     Alcotest.test_case "admission: concurrent" `Quick test_admission_concurrent;
+    Alcotest.test_case "server: a closing response frees the slot first"
+      `Quick test_closing_response_frees_slot;
     Alcotest.test_case "server: failed create leaks no fd" `Quick
       test_create_failure_leaks_nothing;
   ]

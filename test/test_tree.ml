@@ -16,7 +16,7 @@ let test_ids_are_preorder () =
   Alcotest.(check (list int)) "dense preorder ids" [ 4; 3; 2; 1; 0 ] ids;
   Tree.iter
     (fun n ->
-      let by_dewey = Tree.find_by_dewey doc n.Tree.dewey in
+      let by_dewey = Tree.find_by_dewey doc (Tree.dewey doc n) in
       Alcotest.(check bool) "dewey lookup finds the node" true
         (match by_dewey with Some m -> m.Tree.id = n.Tree.id | None -> false))
     doc
@@ -103,7 +103,9 @@ let prop_dewey_order_is_id_order =
           && Tree.fold
                (fun acc b ->
                  acc
-                 && compare (Dewey.compare a.Tree.dewey b.Tree.dewey) 0
+                 && compare
+                      (Dewey.compare (Tree.dewey doc a) (Tree.dewey doc b))
+                      0
                     = compare (compare a.Tree.id b.Tree.id) 0)
                true doc)
         true doc)
@@ -118,10 +120,41 @@ let prop_parent_pointers =
           match Tree.parent_node doc n with
           | None -> n.Tree.id = 0
           | Some p -> (
-              match Dewey.parent n.Tree.dewey with
-              | Some d -> Dewey.equal d p.Tree.dewey
+              match Dewey.parent (Tree.dewey doc n) with
+              | Some d -> Dewey.equal d (Tree.dewey doc p)
               | None -> false))
         true doc)
+
+let prop_derived_dewey =
+  QCheck2.Test.make ~name:"Tree.dewey finds its node and agrees with depth"
+    ~count:300 ~print:Helpers.print_doc
+    QCheck2.Gen.(oneof [ Helpers.gen_doc; Helpers.gen_deep_doc ])
+    (fun doc ->
+      Tree.fold
+        (fun acc n ->
+          acc
+          &&
+          let d = Tree.dewey doc n in
+          n.Tree.depth = Dewey.depth d
+          &&
+          match Tree.find_by_dewey doc d with
+          | Some m -> m.Tree.id = n.Tree.id
+          | None -> false)
+        true doc)
+
+let prop_deep_dewey_order_is_id_order =
+  QCheck2.Test.make ~name:"dewey order agrees with id order on deep trees"
+    ~count:200 ~print:Helpers.print_doc Helpers.gen_deep_doc (fun doc ->
+      let n = Tree.size doc in
+      let rec ascending i =
+        i >= n - 1
+        || Dewey.compare
+             (Tree.dewey doc (Tree.node doc i))
+             (Tree.dewey doc (Tree.node doc (i + 1)))
+           < 0
+           && ascending (i + 1)
+      in
+      ascending 0)
 
 let tests =
   [
@@ -136,4 +169,6 @@ let tests =
     Helpers.qtest prop_subtree_end_matches_range;
     Helpers.qtest prop_dewey_order_is_id_order;
     Helpers.qtest prop_parent_pointers;
+    Helpers.qtest prop_derived_dewey;
+    Helpers.qtest prop_deep_dewey_order_is_id_order;
   ]
